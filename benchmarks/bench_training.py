@@ -5,10 +5,10 @@ tracks the same treatment applied to the training loop.  Both modes run the
 identical optimization — same seeds, same shuffling, same negatives, same
 contrastive pairs — and differ only in how the autodiff graph is built:
 
-* sequential (``TrainingConfig(batched=False)``): one ``model.forward``
-  graph per positive and per corrupted negative, subgraphs re-extracted
-  from scratch every time;
-* batched (default): one ``DEKGILP.forward_batch`` graph per mini-batch —
+* sequential (the test suite's ``oracles.SequentialTrainer``): one
+  ``model.forward`` graph per positive and per corrupted negative,
+  subgraphs re-extracted from scratch every time;
+* batched (``Trainer``): one ``DEKGILP.forward_batch`` graph per mini-batch —
   a single CLRM fusion/scoring pass, chunked block-diagonal GSM union
   graphs, and relation-agnostic extractions served from the per-model LRU
   (warm across corruptions and, because the train graph never mutates,
@@ -31,6 +31,7 @@ from typing import Dict, List
 import numpy as np
 
 from common import append_bench_run, print_banner
+from oracles import SequentialTrainer
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.model import DEKGILP
 from repro.core.trainer import Trainer
@@ -70,10 +71,10 @@ def _synthetic_graph(num_entities: int, num_triples: int, seed: int = 0) -> Know
 def _make_trainer(graph: KnowledgeGraph, batched: bool) -> Trainer:
     model_config = ModelConfig(embedding_dim=HIDDEN_DIM, gnn_hidden_dim=HIDDEN_DIM,
                                subgraph_hops=HOPS, edge_dropout=0.0)
-    training_config = TrainingConfig(epochs=EPOCHS, batch_size=BATCH_SIZE,
-                                     seed=0, batched=batched)
+    training_config = TrainingConfig(epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0)
     model = DEKGILP(graph.num_relations, config=model_config, seed=0)
-    return Trainer(model, graph, training_config)
+    trainer_class = Trainer if batched else SequentialTrainer
+    return trainer_class(model, graph, training_config)
 
 
 def _train_interleaved(graph: KnowledgeGraph):

@@ -8,12 +8,10 @@ and kernel dispatch through the **active backend** instead of a hard-coded
 * :class:`~repro.backend.base.ArrayBackend` — the protocol: array module
   (``xp``), host index module (``host_xp``), dtype policy, RNG
   construction, and the scatter/gather/segment kernel set;
-* the **registry** — :func:`register_backend` /
-  :func:`available_backends` / :func:`get_backend`, with
-  :class:`~repro.backend.numpy_backend.NumpyBackend` always on,
-  :class:`~repro.backend.tracing.TracingBackend` as the GPU-less test
-  double, and :class:`~repro.backend.cupy_backend.CupyBackend` registered
-  only when ``cupy`` imports;
+* the **registry** — :func:`register_backend` / :func:`get_backend`,
+  holding :class:`~repro.backend.numpy_backend.NumpyBackend` (the
+  reference) and :class:`~repro.backend.tracing.TracingBackend` (the
+  call-recording test double);
 * the **proxies** ``xp`` and ``hxp`` — module-like objects that forward
   every attribute access to the active backend's compute / host module, so
   call sites read like plain numpy (``xp.zeros``, ``xp.add.at``) while the
@@ -48,18 +46,12 @@ from repro.backend.tracing import TracingBackend
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
-class BackendUnavailableError(RuntimeError):
-    """A known backend whose library is not importable on this machine."""
-
-
 # --------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------- #
-#: name -> zero-arg factory.  Factories run lazily (once) so optional
-#: backends can be *known* without their library being importable.
+#: name -> zero-arg factory, run lazily (once) on first use.
 _FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {}
 _INSTANCES: Dict[str, ArrayBackend] = {}
-_UNAVAILABLE: Dict[str, str] = {}  # name -> reason the factory failed
 
 
 def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
@@ -70,45 +62,21 @@ def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
 
 
 def known_backend_names() -> Tuple[str, ...]:
-    """Every registered backend name, available on this machine or not."""
+    """Every registered backend name, sorted."""
     return tuple(sorted(_FACTORIES))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backend names whose factory succeeds on this machine."""
-    names = []
-    for name in sorted(_FACTORIES):
-        try:
-            get_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return tuple(names)
 
 
 def get_backend(name: str) -> ArrayBackend:
     """The (singleton) backend registered under ``name``.
 
-    Raises ``ValueError`` for names nothing registered and
-    :class:`BackendUnavailableError` for known backends whose library is
-    missing (e.g. ``cupy`` on a GPU-less machine).
+    Raises ``ValueError`` for names nothing registered.
     """
-    if name in _INSTANCES:
-        return _INSTANCES[name]
-    if name in _UNAVAILABLE:
-        raise BackendUnavailableError(
-            f"backend {name!r} is not available on this machine: {_UNAVAILABLE[name]}")
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown backend {name!r}; known backends: {list(known_backend_names())}")
-    try:
-        instance = _FACTORIES[name]()
-    except ImportError as error:
-        _UNAVAILABLE[name] = str(error)
-        raise BackendUnavailableError(
-            f"backend {name!r} is not available on this machine: {error}") from error
-    _INSTANCES[name] = instance
-    return instance
+    if name not in _INSTANCES:
+        if name not in _FACTORIES:
+            raise ValueError(
+                f"unknown backend {name!r}; known backends: {list(known_backend_names())}")
+        _INSTANCES[name] = _FACTORIES[name]()
+    return _INSTANCES[name]
 
 
 # --------------------------------------------------------------------- #
@@ -199,27 +167,18 @@ hxp = _ActiveModuleProxy("host_xp")
 
 
 # --------------------------------------------------------------------- #
-# bootstrap: numpy + tracing always; cupy only if its library imports
+# bootstrap
 # --------------------------------------------------------------------- #
-def _cupy_factory() -> ArrayBackend:
-    from repro.backend.cupy_backend import CupyBackend  # ImportError -> unavailable
-
-    return CupyBackend()
-
-
 register_backend("numpy", NumpyBackend)
 register_backend("tracing", TracingBackend)
-register_backend("cupy", _cupy_factory)
 
 
 __all__ = [
     "ArrayBackend",
     "BACKEND_ENV_VAR",
-    "BackendUnavailableError",
     "NumpyBackend",
     "TracingBackend",
     "active_backend",
-    "available_backends",
     "get_backend",
     "hxp",
     "known_backend_names",

@@ -6,15 +6,14 @@ library behind one object:
 * the **array module** (:attr:`ArrayBackend.xp`) — a numpy-compatible
   namespace the compute kernels (GEMMs, elementwise math, reductions) run
   on.  For :class:`~repro.backend.numpy_backend.NumpyBackend` this is numpy
-  itself; for :class:`~repro.backend.cupy_backend.CupyBackend` it is cupy;
-  for :class:`~repro.backend.tracing.TracingBackend` it is a call-recording
-  wrapper around numpy so the seam is testable on GPU-less machines;
+  itself; for :class:`~repro.backend.tracing.TracingBackend` it is a
+  call-recording wrapper around numpy so the seam itself is testable;
 * the **host module** (:attr:`ArrayBackend.host_xp`) — a numpy-semantics
   namespace for index bookkeeping: CSR adjacency arrays, BFS frontier
   masks, traversal scratch, edge-index arrays.  These structures drive
   data-dependent Python control flow, so they stay host-side on every
-  backend (device backends pay one transfer at the compute boundary
-  instead of a sync per branch);
+  backend (a device backend would pay one transfer at the compute
+  boundary instead of a sync per branch);
 * the **dtype policy** (:attr:`float_dtype` / :attr:`int_dtype` /
   :attr:`bool_dtype`) and the conversion trio :meth:`asarray` /
   :meth:`asindex` / :meth:`to_numpy`;
@@ -28,8 +27,11 @@ library behind one object:
   floating-point reassociation tolerance.
 
 Every method has a generic implementation in terms of ``xp``; concrete
-backends override the ones their array library spells differently (CuPy's
-``scatter_add``) or can do faster (numpy's sort+``reduceat`` micro-kernel).
+backends override the ones their array library spells differently or can
+do faster (numpy's sort+``reduceat`` micro-kernel).  The registry in
+:mod:`repro.backend` holds two backends, ``numpy`` and ``tracing``; a new
+array library plugs in by subclassing :class:`ArrayBackend` and calling
+:func:`repro.backend.register_backend`.
 """
 
 from __future__ import annotations

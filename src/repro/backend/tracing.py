@@ -3,7 +3,7 @@
 ``TracingBackend`` computes exactly what :class:`NumpyBackend` computes
 (same arrays, same bits) but counts every array-module attribute call and
 every kernel dispatch that flows through the backend seam.  It exists so
-the seam is testable on machines without a GPU:
+the seam itself is testable:
 
 * the backend-parity suite runs every autodiff primitive under it and
   asserts results are bit-identical to the numpy reference — proving the

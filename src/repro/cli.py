@@ -361,8 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The flag scopes the whole invocation; an unknown-but-registered backend
-    # whose library is missing (e.g. cupy here) fails fast with its reason.
+    # The flag scopes the whole invocation.
     with use_backend(args.backend):
         return _COMMANDS[args.command](args)
 

@@ -8,7 +8,7 @@ contrastive loss coefficient ``σ = 0.1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -74,11 +74,6 @@ class ModelConfig:
     persistence — returning to a previously-seen context graph (train ->
     eval -> train, shared providers across models) finds its extractions
     still warm."""
-
-    batched_extraction: bool = True
-    """Serve extraction-cache misses through the multi-source batched BFS
-    (:func:`repro.subgraph.provider.extract_batch`); ``False`` falls back to
-    the per-pair extractor (identical subgraphs, kept for benchmarking)."""
 
     backend: Optional[str] = None
     """Array backend the model runs on (see :mod:`repro.backend`).  ``None``
@@ -193,14 +188,6 @@ class TrainingConfig:
     """Positive and negative contrastive examples sampled per entity per batch
     (the paper uses 10 per epoch; smaller by default for CPU-scale runs)."""
 
-    batched: bool = True
-    """Route the ranking loss through the batched scorer
-    (:meth:`~repro.core.model.DEKGILP.forward_batch`): one autodiff graph per
-    batch instead of one per positive/negative triple.  ``False`` falls back
-    to the sequential per-triple path (kept for equivalence testing and
-    benchmarking); both modes draw identical negatives and contrastive pairs
-    under the same seed."""
-
     grad_clip: float = 5.0
     seed: int = 0
     verbose: bool = False
@@ -223,3 +210,33 @@ class TrainingConfig:
             raise ValueError("contrastive_weight must be non-negative")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables journaling)")
+
+
+#: Fields retired from the config dataclasses, each mapped to the one value
+#: the surviving code path implements.  Checkpoints and saved experiment
+#: configs written before the retirement still carry them.
+RETIRED_KEYS: Dict[type, Dict[str, Any]] = {
+    ModelConfig: {"batched_extraction": True},
+    TrainingConfig: {"batched": True},
+}
+
+
+def drop_retired_keys(config_class: type, data: Mapping[str, Any],
+                      path: str = "") -> Dict[str, Any]:
+    """``data`` without the retired keys of ``config_class``.
+
+    A retired key holding its surviving value is dropped.  Any other value
+    asks for a path that no longer exists, so it raises a ``ValueError``
+    naming the key (prefixed with ``path`` when one is given).
+    """
+    retired = RETIRED_KEYS.get(config_class, {})
+    kept = {}
+    for key, value in data.items():
+        if key not in retired:
+            kept[key] = value
+        elif value is not retired[key]:
+            name = f"{path}.{key}" if path else key
+            raise ValueError(
+                f"{name!r} is retired: only {retired[key]!r}, the surviving "
+                f"behaviour, is still accepted, got {value!r}")
+    return kept

@@ -23,7 +23,7 @@ import numpy as np
 from repro.autodiff.module import Module
 from repro.autodiff.tensor import Tensor
 from repro.core.clrm import CLRM
-from repro.core.config import ModelConfig
+from repro.core.config import ModelConfig, drop_retired_keys
 from repro.core.gsm import GSM
 from repro.core.relation_table import RelationComponentStore
 from repro.kg.graph import KnowledgeGraph
@@ -76,7 +76,6 @@ class DEKGILP(Module):
                 policy=self.config.subgraph_cache_policy,
                 cache_size=self.config.subgraph_cache_size,
                 snapshots=self.config.subgraph_cache_snapshots,
-                batched=self.config.batched_extraction,
             )
             if self.config.use_topological
             else None
@@ -314,8 +313,8 @@ class DEKGILP(Module):
     def from_checkpoint(cls, header: Dict[str, object],
                         arrays: Dict[str, np.ndarray]) -> "DEKGILP":
         init = header["init"]
-        model = cls(int(init["num_relations"]),
-                    config=ModelConfig(**init["config"]), seed=init["seed"])
+        config = ModelConfig(**drop_retired_keys(ModelConfig, init["config"]))
+        model = cls(int(init["num_relations"]), config=config, seed=init["seed"])
         model.load_state_dict(dict(arrays))
         model.eval()
         return model

@@ -46,7 +46,7 @@ class EpochRecord:
     cache_hit_rate: float = float("nan")
     """Fraction of subgraph-extraction lookups served from the model's
     provider cache during this epoch (``nan`` when no lookups happened, e.g.
-    on the sequential path or with GSM disabled)."""
+    with GSM disabled)."""
 
     lifetime_cache_hit_rate: float = float("nan")
     """Cumulative provider hit rate over the model's whole lifetime as of
@@ -78,29 +78,28 @@ class TrainingHistory:
 class Trainer:
     """Optimizes a :class:`~repro.core.model.DEKGILP` model on an original KG.
 
-    By default (``TrainingConfig.batched``) each mini-batch is trained through
-    **one autodiff graph**: the positives and all their corrupted negatives are
-    scored together by :meth:`DEKGILP.forward_batch` — one CLRM fusion/DistMult
-    pass for the whole batch, and the GSM subgraphs concatenated into chunked
-    block-diagonal union graphs (node feature rows stacked, edge indices offset
-    per block) that the encoder processes in a handful of passes.  Subgraph
-    extractions are relation-agnostic and cached per ``(head, tail)`` pair on
-    the model, so a positive and its tail-corrupted negatives share the head's
-    neighborhood work, repeated candidates hit warm entries, and — because the
-    training graph never mutates mid-fit — later epochs run almost entirely
-    from cache (the per-epoch hit rate is reported in
-    :attr:`EpochRecord.cache_hit_rate`).  The margin ranking loss (Eq. 14) is
-    one vectorized ``clamp_min``/``mean`` over the aligned positive/negative
-    score tensors, and the contrastive pairs (Eq. 7) are perturbed and scored
-    as one stacked anchor/positive/negative call per batch.
+    Each mini-batch is trained through **one autodiff graph**: the positives
+    and all their corrupted negatives are scored together by
+    :meth:`DEKGILP.forward_batch` — one CLRM fusion/DistMult pass for the
+    whole batch, and the GSM subgraphs concatenated into chunked
+    block-diagonal union graphs (node feature rows stacked, edge indices
+    offset per block) that the encoder processes in a handful of passes.
+    Subgraph extractions are relation-agnostic and cached per ``(head,
+    tail)`` pair on the model, so a positive and its tail-corrupted
+    negatives share the head's neighborhood work, repeated candidates hit
+    warm entries, and — because the training graph never mutates mid-fit —
+    later epochs run almost entirely from cache (the per-epoch hit rate is
+    reported in :attr:`EpochRecord.cache_hit_rate`).  The margin ranking
+    loss (Eq. 14) is one vectorized ``clamp_min``/``mean`` over the aligned
+    positive/negative score tensors, and the contrastive pairs (Eq. 7) are
+    perturbed and scored as one stacked anchor/positive/negative call per
+    batch.
 
-    ``TrainingConfig(batched=False)`` keeps the historical sequential path —
-    one :meth:`DEKGILP.forward` graph per scored triple.  Both modes draw
-    identical negatives and contrastive pairs under the same seed and are
-    numerically equivalent — **including with edge dropout enabled**, since
-    dropout masks are counter-seeded per ``(seed, epoch, layer, edge)``
-    rather than consumed from a stream (verified by the training benchmark
-    and the equivalence tests).
+    The losses and parameters match a per-triple loop (one
+    :meth:`DEKGILP.forward` graph per scored triple) to 1e-8 — **including
+    with edge dropout enabled**, since dropout masks are counter-seeded per
+    ``(seed, epoch, layer, edge)`` rather than consumed from a stream.  That
+    loop lives in the test suite as the equivalence oracle.
 
     Subgraph extraction goes through the model's
     :class:`~repro.subgraph.provider.SubgraphProvider`: cache misses of a
@@ -147,22 +146,14 @@ class Trainer:
     def _ranking_loss(self, batch: Sequence[Triple]) -> Tensor:
         """Margin ranking loss (Eq. 14) averaged over the batch's pos/neg pairs.
 
-        Negatives are drawn once per batch (one vectorized RNG draw) and then
-        scored through the batched or the sequential path depending on
-        ``TrainingConfig.batched`` — so the two modes see identical
-        corruptions under the same seed.
+        Negatives are drawn once per batch (one vectorized RNG draw); the
+        positives and all negatives are scored by one ``forward_batch`` and
+        the loss is one vectorized expression over the aligned scores.
         """
         batch = list(batch)
         if not batch:
             return Tensor(0.0)
         negatives = self._negative_sampler.sample_batch(batch)
-        if self.config.batched:
-            return self._ranking_loss_batched(batch, negatives)
-        return self._ranking_loss_sequential(batch, negatives)
-
-    def _ranking_loss_batched(self, batch: List[Triple],
-                              negatives: List[List[Triple]]) -> Tensor:
-        """One forward_batch over positives + negatives, one vectorized loss."""
         flat_negatives = [n for per_positive in negatives for n in per_positive]
         scores = self.model.forward_batch(batch + flat_negatives)
         counts = np.fromiter((len(per_positive) for per_positive in negatives),
@@ -174,22 +165,6 @@ class Trainer:
             scores.gather_rows(negative_rows),
             self.model.config.ranking_margin,
         )
-
-    def _ranking_loss_sequential(self, batch: List[Triple],
-                                 negatives: List[List[Triple]]) -> Tensor:
-        """Historical per-triple path: one autodiff graph per scored triple."""
-        losses = []
-        margin = self.model.config.ranking_margin
-        for positive, per_positive in zip(batch, negatives):
-            positive_score = self.model.forward(positive)
-            for negative in per_positive:
-                negative_score = self.model.forward(negative)
-                losses.append(
-                    (Tensor(margin) - positive_score + negative_score).clamp_min(0.0)
-                )
-        if not losses:
-            return Tensor(0.0)
-        return F.stack(losses).mean()
 
     def _contrastive_loss(self, batch: Sequence[Triple]) -> Tensor:
         """Contrastive loss (Eq. 7) over the entities appearing in the batch.

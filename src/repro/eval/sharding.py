@@ -100,18 +100,6 @@ class ReplicaSpec:
     payload: Any
 
 
-def __getattr__(name: str):
-    # Pre-registry name of ReplicaSpec; kept as a deprecated alias so it
-    # cannot be confused with the unrelated repro.registry.ModelSpec.
-    if name == "ModelSpec":
-        warnings.warn(
-            "repro.eval.sharding.ModelSpec was renamed to ReplicaSpec "
-            "(repro.registry.ModelSpec is the registry entry, a different type)",
-            DeprecationWarning, stacklevel=2)
-        return ReplicaSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def make_model_spec(model) -> ReplicaSpec:
     """Serialize ``model`` into a spec a spawned worker can rebuild from.
 

@@ -19,8 +19,7 @@ and a metrics JSON next to each other.
 The CLI (``python -m repro run/evaluate/compare``), the grid search, the
 link-prediction pipeline and the benchmark harness are all built on this
 module plus :mod:`repro.registry`; :func:`train_model` is the canonical
-one-call trainer the deprecated ``repro.utils.experiments.train_model`` shim
-delegates to.
+one-call trainer.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.backend import known_backend_names, resolve_backend_name, use_backend
-from repro.core.config import EvalConfig, ModelConfig, TrainingConfig
+from repro.core.config import (EvalConfig, ModelConfig, TrainingConfig,
+                               drop_retired_keys)
 from repro.core.persistence import save_model
 from repro.core.trainer import Trainer
 from repro.datasets.benchmark import (BenchmarkDataset, build_benchmark,
@@ -100,6 +100,7 @@ _SECTION_TYPES = {
 
 
 def _section_from_dict(section_cls, data: Mapping[str, Any], path: str):
+    data = drop_retired_keys(section_cls, data, path)
     allowed = {f.name for f in dataclasses.fields(section_cls)}
     for key in data:
         if key not in allowed:

@@ -1,16 +1,16 @@
 """Counter-seeded per-edge dropout for the R-GCN message-passing stack.
 
 Stream-based dropout (one shared ``Generator`` advanced by every forward
-pass) makes the drawn masks depend on *how* a batch is scored: the
-sequential trainer draws one mask per triple's subgraph while the batched
+pass) makes the drawn masks depend on *how* a batch is scored: a
+per-triple loop draws one mask per triple's subgraph while the batched
 trainer draws one per block-diagonal union chunk, so the two loss paths
 diverge as soon as ``edge_dropout > 0``.  This module replaces the stream
 with a **counter**: the keep/drop decision for a graph edge is a pure
 function of ``(seed, epoch, layer, edge identity)``, where the edge identity
 hashes the *global* ``(head, relation, tail)`` triple the subgraph edge was
 induced from.  Any composition of subgraphs into union graphs — or none —
-therefore produces identical masks, which is what makes batched and
-sequential training loss-equivalent with dropout enabled.
+therefore produces identical masks, which is what makes batched training
+loss-equivalent to the per-triple loop with dropout enabled.
 
 The splitmix64 uniform machinery itself now lives behind the backend seam
 (:mod:`repro.backend.counter_rng`) so that element-wise dropout

@@ -28,9 +28,7 @@ and the capability flags the rest of the system branches on:
 
 The registry is the single construction path shared by the CLI, the
 :class:`repro.experiment.Experiment` facade, the grid search, the
-link-prediction pipeline and the benchmark harness; the legacy entry points
-(``repro.utils.experiments.train_model``, ``repro.baselines.
-baseline_registry``) are deprecation shims over it.
+link-prediction pipeline and the benchmark harness.
 
 Registration is decorator-based and happens where the model lives::
 
@@ -48,7 +46,7 @@ Because :func:`allowed_override_keys` is derived from the config class (or
 the constructor signature), new hyper-parameters are exposed through the
 whole stack the moment they are added: the subgraph-provider knobs
 (``subgraph_cache_policy`` / ``subgraph_cache_size`` /
-``subgraph_cache_snapshots`` / ``batched_extraction`` on ``ModelConfig``,
+``subgraph_cache_snapshots`` on ``ModelConfig``,
 ``cache_policy`` / ``cache_size`` on the subgraph-reasoning baselines) are
 valid ``ExperimentConfig.model.overrides``, grid-search axes and CLI
 ``--cache-policy`` / ``--cache-size`` targets with no registry changes.

@@ -53,9 +53,13 @@ def handle_request(service: ScoringService, request: Dict[str, Any],
     Shared by the socket handler and the in-process client, so both
     transports see identical semantics, error text included.  The returned
     dict is the wire response: ``{"ok": true, "result": ...}`` on success.
+    A decoded value that is not a JSON object gets an error response.
     """
     try:
         fire(REQUEST_FAULT_SITE, request_index)
+        if not isinstance(request, dict):
+            raise TypeError("request must be a JSON object, got "
+                            f"{type(request).__name__}")
         op = request.get("op")
         if op == "ping":
             result: Any = "pong"
@@ -117,10 +121,10 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 continue
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as error:
+            except ValueError as error:  # bad JSON or bytes that are not UTF-8
                 response = {"ok": False, "error": f"malformed JSON: {error}"}
             else:
-                if request.get("op") == "shutdown":
+                if isinstance(request, dict) and request.get("op") == "shutdown":
                     self._send({"ok": True, "result": "shutting down"})
                     # shutdown() must run off the handler thread (it joins
                     # the serve_forever loop, which joins handler threads).

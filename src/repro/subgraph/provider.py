@@ -647,9 +647,8 @@ class SubgraphProvider:
     One provider owns the extraction hyper-parameters (``hops``,
     ``improved_labeling``, ``max_nodes``) and a cache policy instance per
     CSR snapshot it has served.  Misses are extracted through the
-    multi-source :func:`extract_batch` (``batched=True``, the default) or
-    the per-pair extractor (``batched=False``, kept for benchmarking); both
-    produce identical subgraphs.
+    multi-source :func:`extract_batch`, which produces the same subgraphs
+    as the per-pair extractor.
 
     ``snapshots`` bounds how many per-snapshot stores are retained
     (most-recently-used order).  The default ``1`` keeps only the current
@@ -668,8 +667,7 @@ class SubgraphProvider:
 
     def __init__(self, hops: int = 2, improved_labeling: bool = True,
                  max_nodes: int = 200, policy: str = "lru",
-                 cache_size: int = 4096, snapshots: int = 1,
-                 batched: bool = True):
+                 cache_size: int = 4096, snapshots: int = 1):
         if policy not in CACHE_POLICIES:
             raise ValueError(
                 f"unknown cache policy {policy!r}; choose from {cache_policy_names()}")
@@ -683,7 +681,6 @@ class SubgraphProvider:
         self.policy_name = policy
         self.cache_size = cache_size
         self.snapshots = snapshots
-        self.batched = batched
         self._stores: List[Tuple[CSRAdjacency, LRUPolicy]] = []
         self._active: Optional[CSRAdjacency] = None
         self.lifetime_hits = 0
@@ -748,7 +745,7 @@ class SubgraphProvider:
         self.context_misses += misses
         if pending:
             missing_targets = [Triple(head, 0, tail) for head, tail in pending]
-            if self.batched and len(missing_targets) > 1:
+            if len(missing_targets) > 1:
                 extracted = extract_batch(
                     graph, missing_targets, hops=self.hops,
                     improved_labeling=self.improved_labeling,
@@ -827,8 +824,7 @@ class SubgraphProvider:
 # --------------------------------------------------------------------- #
 def share_provider(models: Sequence[object], *, policy: Optional[str] = None,
                    cache_size: Optional[int] = None,
-                   snapshots: Optional[int] = None,
-                   batched: Optional[bool] = None) -> Optional[SubgraphProvider]:
+                   snapshots: Optional[int] = None) -> Optional[SubgraphProvider]:
     """Build one provider for several provider-backed models and inject it.
 
     Extractions are relation-agnostic and keyed by ``(head, tail)`` per CSR
@@ -842,7 +838,7 @@ def share_provider(models: Sequence[object], *, policy: Optional[str] = None,
     have produced.
 
     The shared provider inherits its configuration from the adoptees unless
-    overridden: the first adoptee's policy and batching, the *largest*
+    overridden: the first adoptee's policy, the *largest*
     ``cache_size`` / ``snapshots`` among them (a shared cache serves a
     superset of any single model's workload).  Returns the injected provider,
     or ``None`` when no model in ``models`` is provider-backed.
@@ -875,7 +871,6 @@ def share_provider(models: Sequence[object], *, policy: Optional[str] = None,
         else max(model.subgraph_provider.cache_size for model in backed),
         snapshots=snapshots if snapshots is not None
         else max(model.subgraph_provider.snapshots for model in backed),
-        batched=template.batched if batched is None else batched,
     )
     for model in backed:
         model.use_subgraph_provider(shared)

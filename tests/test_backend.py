@@ -2,12 +2,11 @@
 
 Four layers of guarantees:
 
-* **registry and selection** — known vs available backends, unknown names,
-  the unavailable-cupy path, scoped activation and the resolution order;
+* **registry and selection** — the registered backends, unknown names,
+  scoped activation and the resolution order;
 * **backend parity** — every autodiff primitive, forward and backward,
-  produces bit-identical results under every available CPU backend
-  (hypothesis-driven against the numpy reference; cupy is skip-marked on
-  machines without a GPU);
+  produces bit-identical results under every registered backend
+  (hypothesis-driven against the numpy reference);
 * **seam integrity** — nothing under ``repro/autodiff`` or ``repro/gnn``
   imports numpy directly; the backend package is the only array-module
   entry point, so activating a different backend really retargets the
@@ -32,8 +31,8 @@ import repro
 from repro.autodiff import functional as F
 from repro.autodiff.layers import Dropout
 from repro.autodiff.tensor import Tensor, gather, scatter_add, segment_mean, segment_sum
-from repro.backend import (BACKEND_ENV_VAR, BackendUnavailableError, NumpyBackend,
-                           TracingBackend, active_backend, available_backends,
+from repro.backend import (BACKEND_ENV_VAR, NumpyBackend,
+                           TracingBackend, active_backend,
                            get_backend, hxp, known_backend_names, register_backend,
                            resolve_backend_name, set_active_backend, thread_counts,
                            use_backend, xp)
@@ -49,27 +48,20 @@ from repro.experiment import ExperimentConfig
 class TestRegistry:
     def test_known_backends(self):
         known = known_backend_names()
-        assert {"numpy", "tracing", "cupy"} <= set(known)
-        assert known == tuple(sorted(known))
+        assert known == ("numpy", "tracing")
 
     def test_numpy_and_tracing_always_available(self):
-        assert {"numpy", "tracing"} <= set(available_backends())
+        assert get_backend("numpy").name == "numpy"
+        assert get_backend("tracing").name == "tracing"
 
     def test_available_is_subset_of_known(self):
-        assert set(available_backends()) <= set(known_backend_names())
+        # Every registered backend builds; there is no optional one.
+        for name in known_backend_names():
+            assert get_backend(name).name == name
 
     def test_unknown_backend_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("torch")
-
-    def test_cupy_unavailable_without_gpu(self):
-        if "cupy" in available_backends():
-            pytest.skip("cupy importable on this machine")
-        with pytest.raises(BackendUnavailableError, match="cupy"):
-            get_backend("cupy")
-        # the failure is memoized, not retried
-        with pytest.raises(BackendUnavailableError):
-            get_backend("cupy")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -83,7 +75,7 @@ class TestRegistry:
 class TestSelection:
     def test_default_backend_is_numpy(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert active_backend().name in available_backends()
+        assert active_backend().name in known_backend_names()
 
     def test_use_backend_scopes_and_restores(self):
         before = active_backend().name
@@ -298,17 +290,9 @@ base_arrays = arrays(dtype=np.float64,
                      shape=st.tuples(st.integers(2, 5), st.integers(1, 4)),
                      elements=finite_floats)
 
-#: Every known backend; unavailable ones (cupy without a GPU) are skip-marked.
-BACKEND_PARAMS = [
-    pytest.param(name,
-                 marks=() if name in available_backends()
-                 else pytest.mark.skip(reason=f"backend {name!r} not available"))
-    for name in known_backend_names()
-]
-
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend_name", BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend_name", known_backend_names())
     @settings(max_examples=15, deadline=None)
     @given(base=base_arrays)
     def test_all_primitives_match_numpy_reference(self, backend_name, base):
@@ -328,7 +312,7 @@ class TestBackendParity:
                         grad, expected,
                         err_msg=f"{name}: gradient diverged under {backend_name!r}")
 
-    @pytest.mark.parametrize("backend_name", BACKEND_PARAMS)
+    @pytest.mark.parametrize("backend_name", known_backend_names())
     def test_indexed_kernels_grad_check(self, backend_name):
         """Finite-difference grad check of the kernel-backed primitives."""
         rng = np.random.default_rng(0)

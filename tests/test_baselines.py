@@ -18,10 +18,10 @@ from repro.baselines import (
     SimplE,
     TACT,
     TransE,
-    baseline_registry,
 )
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+from repro.registry import registered_models
 
 EMBEDDING_CLASSES = [TransE, RotatE, DistMult, ConvE,
                      ComplEx, HolE, ProjE, SimplE]
@@ -33,19 +33,18 @@ def train_graph(small_synthetic_graph):
 
 
 class TestRegistry:
-    # baseline_registry() is a deprecated shim over repro.registry; the old
-    # contract (name → class, warning on use) is pinned here.
+    @staticmethod
+    def _baselines():
+        return {name: spec.factory for name, spec in registered_models().items()
+                if not spec.trainer_driven}
+
     def test_all_paper_baselines_present(self):
-        with pytest.warns(DeprecationWarning):
-            registry = baseline_registry()
-        assert set(registry) == {"TransE", "RotatE", "DistMult", "ConvE",
-                                 "ComplEx", "HolE", "ProjE", "SimplE",
-                                 "GEN", "RuleN", "Grail", "TACT"}
+        assert set(self._baselines()) == {"TransE", "RotatE", "DistMult", "ConvE",
+                                          "ComplEx", "HolE", "ProjE", "SimplE",
+                                          "GEN", "RuleN", "Grail", "TACT"}
 
     def test_registry_values_are_classes(self):
-        with pytest.warns(DeprecationWarning):
-            registry = baseline_registry()
-        for cls in registry.values():
+        for cls in self._baselines().values():
             assert isinstance(cls, type)
 
 

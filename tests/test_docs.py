@@ -1,14 +1,17 @@
-"""Documentation checks: the markdown files exist and their links resolve.
+"""Documentation checks: the markdown files exist and what they name exists.
 
 This is the test the CI ``docs`` job runs.  It walks every markdown link in
 ``README.md`` and ``docs/``, and asserts that relative targets point at files
-that actually exist in the repository — the failure mode it guards against is
-a rename or deletion silently orphaning the docs.  External (``http(s)``,
-``mailto``) links and pure in-page anchors are not fetched.
+that actually exist in the repository, and that every dotted ``repro.…``
+name written in inline code resolves to a real module or attribute — the
+failure mode it guards against is a rename or deletion silently orphaning
+the docs.  External (``http(s)``, ``mailto``) links and pure in-page anchors
+are not fetched.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -20,6 +23,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 _LINK_PATTERN = re.compile(r"\[[^\]]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 #: Fenced code blocks, removed before link extraction (may hold example links).
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
+
+#: Inline code spans, and the dotted ``repro.…`` names inside them.
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_REPRO_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 
 REQUIRED_DOCS = [
     "README.md",
@@ -67,3 +74,35 @@ def test_readme_documents_the_cli_and_eval_workers():
     for required in ("dataset", "evaluate", "compare", "complexity",
                      "--eval-workers", "python -m pytest -x -q"):
         assert required in readme, f"README.md no longer documents {required!r}"
+
+
+def _documented_names(markdown_path: Path):
+    text = _CODE_FENCE.sub("", markdown_path.read_text(encoding="utf-8"))
+    for span in _CODE_SPAN.findall(text):
+        yield from _REPRO_NAME.findall(span)
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix, then look the rest up as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attribute in parts[split:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("markdown_path", _markdown_files(),
+                         ids=lambda p: str(p.relative_to(REPO_ROOT)))
+def test_documented_repro_names_exist(markdown_path):
+    missing = sorted({name for name in _documented_names(markdown_path)
+                      if not _resolves(name)})
+    assert not missing, (
+        f"{markdown_path.relative_to(REPO_ROOT)} names code that does not "
+        f"exist: {missing}")

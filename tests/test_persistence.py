@@ -30,6 +30,15 @@ def trained_model(tiny_graph):
     return model
 
 
+def _assert_same_scores(model, restored, graph):
+    model.eval()
+    model.set_context(graph)
+    restored.set_context(graph)
+    triples = [Triple(0, 0, 1), Triple(3, 0, 4), Triple(2, 1, 5)]
+    np.testing.assert_array_equal(model.score_many(triples),
+                                  restored.score_many(triples))
+
+
 class TestPersistence:
     def test_roundtrip_preserves_parameters(self, trained_model, tmp_path):
         path = save_model(trained_model, tmp_path / "model.npz")
@@ -82,14 +91,14 @@ class TestPersistence:
 class TestLegacyFormatV1:
     """Checkpoints written before the registry (format v1) still restore."""
 
-    def _write_v1(self, model, path):
+    def _write_v1(self, model, path, **retired_config):
         import dataclasses
         import json
 
         header = {
             "format_version": 1,
             "num_relations": model.num_relations,
-            "config": dataclasses.asdict(model.config),
+            "config": {**dataclasses.asdict(model.config), **retired_config},
             "class": "DEKGILP",
         }
         arrays = dict(model.state_dict())
@@ -113,6 +122,17 @@ class TestLegacyFormatV1:
         path = self._write_v1(trained_model, tmp_path / "legacy.npz")
         with pytest.raises(ValueError, match="no seed"):
             load_model(path, seed=0)
+
+    def test_v1_checkpoint_with_retired_extraction_key(self, trained_model,
+                                                       tiny_graph, tmp_path):
+        """The retired ``batched_extraction`` key loads when true, else raises."""
+        path = self._write_v1(trained_model, tmp_path / "legacy.npz",
+                              batched_extraction=True)
+        _assert_same_scores(trained_model, load_model(path), tiny_graph)
+        path = self._write_v1(trained_model, tmp_path / "legacy_off.npz",
+                              batched_extraction=False)
+        with pytest.raises(ValueError, match="batched_extraction"):
+            load_model(path)
 
 
 class TestSeedPersistence:
@@ -280,6 +300,28 @@ class TestCorruptionMatrix:
         restored = load_model(tmp_path / "v2.npz")
         for name, value in trained_model.state_dict().items():
             np.testing.assert_array_equal(value, restored.state_dict()[name])
+
+    @pytest.mark.parametrize("format_version", [2, 3])
+    def test_archive_with_retired_extraction_key(self, format_version,
+                                                 trained_model, tiny_graph,
+                                                 tmp_path):
+        """Checkpoints written while ``ModelConfig`` still had the
+        ``batched_extraction`` knob: ``true`` loads bit-exact, ``false`` raises."""
+        path = save_model(trained_model, tmp_path / "model.npz")
+        header, arrays = read_archive(path)
+        header = {key: value for key, value in header.items()
+                  if key != "checksums"}
+        header["format_version"] = format_version
+        pack = _pack_raw if format_version == 2 else pack_archive
+        for value in (True, False):
+            header["model"]["init"]["config"]["batched_extraction"] = value
+            archive = tmp_path / f"retired_{value}.npz"
+            archive.write_bytes(pack(header, arrays))
+            if value:
+                _assert_same_scores(trained_model, load_model(archive), tiny_graph)
+            else:
+                with pytest.raises(ValueError, match="batched_extraction"):
+                    load_model(archive)
 
     def test_bit_flipped_model_checkpoint_rejected_by_load(self, trained_model,
                                                            tmp_path):

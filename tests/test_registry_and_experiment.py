@@ -102,6 +102,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="'dataset.nmae'"):
             ExperimentConfig.from_dict({"dataset": {"nmae": "wn18rr"}})
 
+    def test_retired_training_key_dropped_when_true(self):
+        """Configs saved while ``TrainingConfig`` had ``batched`` still load."""
+        config = ExperimentConfig.default("DEKG-ILP")
+        saved = config.to_dict()
+        saved["training"]["batched"] = True
+        assert ExperimentConfig.from_dict(saved) == config
+
+    def test_retired_training_key_rejected_when_false(self):
+        saved = ExperimentConfig.default("DEKG-ILP").to_dict()
+        saved["training"]["batched"] = False
+        with pytest.raises(ValueError, match="'training.batched'"):
+            ExperimentConfig.from_dict(saved)
+
     def test_unknown_model_override_named(self):
         with pytest.raises(ValueError, match="'model.overrides.use_semnatic'"):
             ExperimentConfig.from_dict(
@@ -360,14 +373,6 @@ class TestOverrideRouting:
             grid_search(small_benchmark, grid={"contrastive_weight": (0.0, 0.5)},
                         epochs=1, max_candidates=5, seed=0, model="DEKG-ILP-C")
 
-    def test_sharding_modelspec_alias_warns(self):
-        import repro.eval.sharding as sharding
-        from repro.eval.sharding import ReplicaSpec
-
-        with pytest.warns(DeprecationWarning, match="ReplicaSpec"):
-            alias = sharding.ModelSpec
-        assert alias is ReplicaSpec
-
     def test_unknown_baseline_override_rejected(self, small_benchmark):
         with pytest.raises(ValueError, match="'model.overrides.embeding_dim'"):
             ExperimentConfig.from_dict(
@@ -438,40 +443,3 @@ class TestUnregisteredCheckpointables:
         spec = make_model_spec(model)
         assert spec.kind == "pickle"
         assert isinstance(restore_model(spec), _UnregisteredTransE)
-
-
-class TestDeprecatedShims:
-    """The pre-registry entry points keep working, with a DeprecationWarning."""
-
-    def test_train_model_shim(self, small_benchmark):
-        from repro.utils.experiments import train_model as legacy_train_model
-
-        with pytest.warns(DeprecationWarning, match="repro.experiment.train_model"):
-            model = legacy_train_model("TransE", small_benchmark, epochs=1,
-                                       embedding_dim=8, seed=0)
-        assert model.name == "TransE"
-        assert model.num_parameters() > 0
-
-    def test_available_models_shim(self):
-        from repro.utils.experiments import available_models as legacy_available_models
-
-        with pytest.warns(DeprecationWarning, match="model_names"):
-            names = legacy_available_models()
-        assert names == model_names()
-
-    def test_baseline_registry_shim(self):
-        from repro.baselines import TransE, baseline_registry
-
-        with pytest.warns(DeprecationWarning, match="registered_models"):
-            registry = baseline_registry()
-        assert registry["TransE"] is TransE
-        assert "DEKG-ILP" not in registry  # trainer-driven models excluded, as before
-
-    def test_legacy_variant_constant_matches_registry(self):
-        from repro.utils.experiments import DEKG_ILP_VARIANTS
-
-        specs = registered_models()
-        for name, overrides in DEKG_ILP_VARIANTS.items():
-            spec = specs[name]
-            merged = {**spec.model_overrides, **spec.training_overrides}
-            assert merged == overrides

@@ -356,6 +356,14 @@ def test_request_fault_gives_degraded_response_then_recovers(full_service):
     assert healthy == {"ok": True, "result": "pong"}
 
 
+@pytest.mark.parametrize("request_value", [5, [1], None, "ping"],
+                         ids=["int", "list", "null", "string"])
+def test_non_object_request_is_a_clean_error(full_service, request_value):
+    response = handle_request(full_service, request_value)
+    assert response["ok"] is False
+    assert "JSON object" in response["error"]
+
+
 def test_unknown_op_and_unknown_model_are_clean_errors(full_service):
     client = InProcessClient(full_service)
     with pytest.raises(ServingError, match="unknown op"):
@@ -399,6 +407,38 @@ def test_socket_round_trip_and_shutdown_drain(serving_dataset, tmp_path):
     flushed = json.loads(stats_path.read_text())
     assert flushed["requests"] >= 1  # only scoring ops count as requests
     assert "coalescer" in flushed
+
+
+def test_hostile_lines_get_errors_and_the_connection_keeps_serving(serving_dataset):
+    """Non-object JSON and non-UTF-8 bytes are answered, not dropped."""
+    import socket
+
+    graph = serving_dataset.split.evaluation_graph()
+    models = {"TransE": build_model("TransE", num_entities=graph.num_entities,
+                                    num_relations=graph.num_relations,
+                                    embedding_dim=8, seed=0)}
+    service = ScoringService(models, graph, max_wait_ms=1.0)
+    server = serve(service, port=0)
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.02}, daemon=True)
+    thread.start()
+    wait_until_serving(host, port)
+    try:
+        with socket.create_connection((host, port), timeout=10) as sock, \
+                sock.makefile("rb") as reader:
+            for line in (b"5", b"[1]", b"null", b"\xff"):
+                sock.sendall(line + b"\n")
+                response = json.loads(reader.readline())
+                assert response["ok"] is False, line
+                assert response["error"], line
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline()) == {"ok": True, "result": "pong"}
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+        service.close()
 
 
 # --------------------------------------------------------------------- #

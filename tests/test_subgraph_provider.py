@@ -340,10 +340,18 @@ class TestProviderCounters:
         assert provider_single.get_many(graph_a, [(0, 1)])[0] is not first
 
     def test_unbatched_provider_serves_identical_subgraphs(self):
+        """The provider's batched misses equal unbatched per-pair extraction."""
         graph = _random_graph(25, 3, 70, seed=3)
         pairs = [(int(h), int(t)) for h, t in zip(range(8), range(8, 16))]
-        batched = SubgraphProvider(hops=2, batched=True).get_many(graph, pairs)
-        per_pair = SubgraphProvider(hops=2, batched=False).get_many(graph, pairs)
+        provider = SubgraphProvider(hops=2)
+        batched = provider.get_many(graph, pairs)
+        per_pair = [
+            extract_enclosing_subgraph(graph, Triple(head, 0, tail), hops=2,
+                                       improved_labeling=True,
+                                       max_nodes=provider.max_nodes,
+                                       omit_target_edge=False)
+            for head, tail in pairs
+        ]
         for left, right in zip(batched, per_pair):
             _assert_subgraphs_identical(left, right)
 

@@ -1,12 +1,12 @@
 """Batched-training equivalence, batched sampling, and optimizer-state tests.
 
-The batched Trainer path must be a pure performance change: same negatives,
+The batched Trainer must be a pure performance change: same negatives,
 same contrastive pairs, same losses, same parameter trajectory as the
-sequential per-triple path under a fixed seed — with edge dropout disabled
-*and* enabled.  Dropout masks are counter-seeded per
-``(seed, epoch, layer, edge)`` (:mod:`repro.gnn.edge_dropout`), so an edge's
-keep/drop decision does not depend on how subgraphs are batched into union
-graphs.
+sequential per-triple oracle (:class:`oracles.SequentialTrainer`) under a
+fixed seed — with edge dropout disabled *and* enabled.  Dropout masks are
+counter-seeded per ``(seed, epoch, layer, edge)``
+(:mod:`repro.gnn.edge_dropout`), so an edge's keep/drop decision does not
+depend on how subgraphs are batched into union graphs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from repro.core.trainer import Trainer
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.sampling import NegativeSampler
 from repro.kg.triple import Triple
+
+from oracles import SequentialTrainer
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +46,10 @@ def _fit(graph: KnowledgeGraph, batched: bool, epochs: int = 2,
                                use_semantic=use_semantic,
                                use_topological=use_topological)
     training_config = TrainingConfig(epochs=epochs, batch_size=8, seed=0,
-                                     batched=batched, contrastive_examples=1)
+                                     contrastive_examples=1)
     model = DEKGILP(graph.num_relations, config=model_config, seed=0)
-    trainer = Trainer(model, graph, training_config)
+    trainer_class = Trainer if batched else SequentialTrainer
+    trainer = trainer_class(model, graph, training_config)
     history = trainer.fit()
     return model, trainer, history
 
@@ -188,7 +191,7 @@ class TestSkippedBatchOptimizerState:
     def test_skipped_batch_leaves_adam_state_untouched(self, training_graph):
         """A non-finite batch must not advance Adam's step/moment buffers."""
         model_config = ModelConfig(embedding_dim=8, gnn_hidden_dim=8, edge_dropout=0.0)
-        training_config = TrainingConfig(epochs=1, batch_size=8, seed=0, batched=True)
+        training_config = TrainingConfig(epochs=1, batch_size=8, seed=0)
         model = DEKGILP(training_graph.num_relations, config=model_config, seed=0)
         trainer = Trainer(model, training_graph, training_config)
 
