@@ -6,7 +6,7 @@ per-pair Python BFS dominated the epoch (ROADMAP "Batched extraction").
 This benchmark tracks the multi-source frontier BFS
 (:func:`repro.subgraph.provider.extract_batch`) against the per-pair
 extractor on the same workloads, plus the warm-cache behaviour of the
-policy-driven :class:`~repro.subgraph.provider.SubgraphProvider`:
+pinned-LRU :class:`~repro.subgraph.provider.SubgraphProvider`:
 
 * **cold, per-pair** — ``extract_enclosing_subgraph`` in a Python loop;
 * **cold, batched** — ``extract_batch`` over training-shaped chunks

@@ -42,8 +42,7 @@ class Grail(CheckpointableModule, LinkPredictor, Module):
                  hops: int = 2, num_layers: int = 2, margin: float = 1.0,
                  learning_rate: float = 0.01, batch_size: int = 16,
                  edge_dropout: float = 0.5, seed: Optional[int] = 0,
-                 cache_policy: str = "corruption_aware", cache_size: int = 4096,
-                 **_ignored):
+                 cache_size: int = 4096, **_ignored):
         Module.__init__(self)
         self.num_relations = num_relations
         self.margin = margin
@@ -55,7 +54,7 @@ class Grail(CheckpointableModule, LinkPredictor, Module):
             embedding_dim=embedding_dim, hops=hops, num_layers=num_layers,
             margin=margin, learning_rate=learning_rate, batch_size=batch_size,
             edge_dropout=edge_dropout, seed=seed,
-            cache_policy=cache_policy, cache_size=cache_size)
+            cache_size=cache_size)
         self.gsm = GSM(
             num_relations,
             hidden_dim=embedding_dim,
@@ -66,12 +65,11 @@ class Grail(CheckpointableModule, LinkPredictor, Module):
             rng=np.random.default_rng(seed),
             dropout_seed=seed,
         )
-        #: Policy-driven extraction cache shared by the fit loop's batches;
+        #: Pinned-LRU extraction cache shared by the fit loop's batches;
         #: relation-agnostic entries, masked per candidate when scoring.
         self.subgraph_provider = SubgraphProvider(
             hops=hops, improved_labeling=self.improved_labeling,
-            max_nodes=self.gsm.max_subgraph_nodes,
-            policy=cache_policy, cache_size=cache_size)
+            max_nodes=self.gsm.max_subgraph_nodes, cache_size=cache_size)
         self._context: Optional[KnowledgeGraph] = None
         self._rng = np.random.default_rng(seed)
 

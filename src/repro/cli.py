@@ -51,7 +51,6 @@ from repro.experiment import (DatasetSection, Experiment, ExperimentConfig,
 from repro.kg.serialization import save_split
 from repro.registry import (allowed_override_keys, default_parameter_count,
                             model_names, registered_models, registry_listing)
-from repro.subgraph.provider import cache_policy_names
 
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -72,12 +71,10 @@ def _add_training_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-workers", type=int, default=1,
                         help="worker processes for evaluation sharding (1 = in-process; "
                              "metrics are identical for any worker count)")
-    parser.add_argument("--cache-policy", default=None, choices=cache_policy_names(),
-                        help="subgraph-extraction cache policy for provider-backed "
+    parser.add_argument("--cache-size", type=int, default=None,
+                        help="subgraph-extraction cache capacity for provider-backed "
                              "models (default: the model's own; caches never change "
                              "scores, only wall clock)")
-    parser.add_argument("--cache-size", type=int, default=None,
-                        help="subgraph-extraction cache capacity for provider-backed models")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,31 +175,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_overrides(args: argparse.Namespace, model: str) -> dict:
-    """Map the --cache-policy/--cache-size flags onto the model's own knobs.
+    """Map the --cache-size flag onto the model's own knob.
 
-    The DEKG-ILP family exposes them as ``ModelConfig`` fields
-    (``subgraph_cache_policy`` / ``subgraph_cache_size``); the
-    subgraph-reasoning baselines as constructor keywords (``cache_policy`` /
-    ``cache_size``).  Models without an extraction cache reject the flags
-    instead of silently ignoring them.
+    The DEKG-ILP family exposes it as the ``ModelConfig`` field
+    ``subgraph_cache_size``; the subgraph-reasoning baselines as the
+    constructor keyword ``cache_size``.  Models without an extraction cache
+    reject the flag instead of silently ignoring it.
     """
-    requested = {"cache_policy": args.cache_policy, "cache_size": args.cache_size}
-    requested = {key: value for key, value in requested.items() if value is not None}
-    if not requested:
+    if args.cache_size is None:
         return {}
     allowed = allowed_override_keys(model)
-    overrides = {}
-    for key, value in requested.items():
-        subgraph_key = f"subgraph_{key}"
-        if subgraph_key in allowed:
-            overrides[subgraph_key] = value
-        elif key in allowed:
-            overrides[key] = value
-        else:
-            raise SystemExit(
-                f"model {model!r} has no subgraph-extraction cache; "
-                f"--{key.replace('_', '-')} does not apply")
-    return overrides
+    for key in ("subgraph_cache_size", "cache_size"):
+        if key in allowed:
+            return {key: args.cache_size}
+    raise SystemExit(f"model {model!r} has no subgraph-extraction cache; "
+                     "--cache-size does not apply")
 
 
 def _config_from_args(args: argparse.Namespace, model: str) -> ExperimentConfig:

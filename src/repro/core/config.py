@@ -8,7 +8,7 @@ contrastive loss coefficient ``σ = 0.1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Container, Dict, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -57,23 +57,10 @@ class ModelConfig:
     max_subgraph_nodes: int = 150
     """Safety cap on extracted subgraph size."""
 
-    subgraph_cache_policy: str = "corruption_aware"
-    """Eviction policy of the extraction cache (see
-    :mod:`repro.subgraph.provider`): ``"lru"`` (plain bounded LRU),
-    ``"adaptive"`` (LRU that grows when evicted entries are re-requested) or
-    ``"corruption_aware"`` (LRU plus pinned true-pair extractions that
-    uniformly-drawn corruptions can never evict)."""
-
     subgraph_cache_size: int = 4096
-    """Entry capacity of the extraction cache (initial capacity under the
-    adaptive policy; the LRU portion under the corruption-aware policy)."""
-
-    subgraph_cache_snapshots: int = 1
-    """Per-graph-snapshot extraction stores the provider retains.  ``1``
-    keeps only the current context's store; ``> 1`` enables cross-split
-    persistence — returning to a previously-seen context graph (train ->
-    eval -> train, shared providers across models) finds its extractions
-    still warm."""
+    """Entry capacity of the extraction cache's LRU portion, and its pin
+    budget for true-pair extractions (see
+    :class:`repro.subgraph.provider.PinnedLRU`)."""
 
     backend: Optional[str] = None
     """Array backend the model runs on (see :mod:`repro.backend`).  ``None``
@@ -92,16 +79,8 @@ class ModelConfig:
             raise ValueError("edge_dropout must be in [0, 1)")
         if self.subgraph_hops < 1:
             raise ValueError("subgraph_hops must be >= 1")
-        from repro.subgraph.provider import cache_policy_names
-
-        if self.subgraph_cache_policy not in cache_policy_names():
-            raise ValueError(
-                f"unknown subgraph_cache_policy {self.subgraph_cache_policy!r}; "
-                f"choose from {cache_policy_names()}")
         if self.subgraph_cache_size < 1:
             raise ValueError("subgraph_cache_size must be >= 1")
-        if self.subgraph_cache_snapshots < 1:
-            raise ValueError("subgraph_cache_snapshots must be >= 1")
         if self.backend is not None:
             from repro.backend import known_backend_names
 
@@ -212,31 +191,72 @@ class TrainingConfig:
             raise ValueError("checkpoint_every must be >= 0 (0 disables journaling)")
 
 
-#: Fields retired from the config dataclasses, each mapped to the one value
-#: the surviving code path implements.  Checkpoints and saved experiment
-#: configs written before the retirement still carry them.
-RETIRED_KEYS: Dict[type, Dict[str, Any]] = {
-    ModelConfig: {"batched_extraction": True},
-    TrainingConfig: {"batched": True},
+class _OneOf:
+    """Accepts exactly ``values``, type-strictly: ``1`` is not ``True``."""
+
+    def __init__(self, *values: Any):
+        self.values = values
+
+    def __contains__(self, value: Any) -> bool:
+        return any(type(value) is type(accepted) and value == accepted
+                   for accepted in self.values)
+
+    def __repr__(self) -> str:
+        return " or ".join(repr(accepted) for accepted in self.values)
+
+
+class _IntAtLeast:
+    """Accepts any ``int`` (not ``bool``) of at least ``low``."""
+
+    def __init__(self, low: int):
+        self.low = low
+
+    def __contains__(self, value: Any) -> bool:
+        return type(value) is int and value >= self.low
+
+    def __repr__(self) -> str:
+        return f"an int >= {self.low}"
+
+
+#: The cache eviction policies the extraction cache once offered.
+_RETIRED_POLICY_NAMES = _OneOf("lru", "adaptive", "corruption_aware")
+
+#: Keys retired from a config dataclass or a model constructor, keyed by the
+#: owning class's name (subclasses inherit the entries).  Each key names the
+#: values it accepted before retirement that the surviving code path still
+#: honours; checkpoints, saved experiment configs and their
+#: ``model.overrides`` written before the retirement still carry them.
+RETIRED_KEYS: Dict[str, Dict[str, Container]] = {
+    "ModelConfig": {
+        "batched_extraction": _OneOf(True),
+        # No cache setting ever changed a score.
+        "subgraph_cache_policy": _RETIRED_POLICY_NAMES,
+        "subgraph_cache_snapshots": _IntAtLeast(1),
+    },
+    "TrainingConfig": {"batched": _OneOf(True)},
+    # A constructor keyword of Grail and its subclass TACT.
+    "Grail": {"cache_policy": _RETIRED_POLICY_NAMES},
 }
 
 
-def drop_retired_keys(config_class: type, data: Mapping[str, Any],
+def drop_retired_keys(owner: type, data: Mapping[str, Any],
                       path: str = "") -> Dict[str, Any]:
-    """``data`` without the retired keys of ``config_class``.
+    """``data`` without the retired keys of ``owner`` or its base classes.
 
-    A retired key holding its surviving value is dropped.  Any other value
-    asks for a path that no longer exists, so it raises a ``ValueError``
-    naming the key (prefixed with ``path`` when one is given).
+    A retired key holding a value it still accepts is dropped.  Any other
+    value asks for a behaviour that no longer exists, so it raises a
+    ``ValueError`` naming the key (prefixed with ``path`` when one is given).
     """
-    retired = RETIRED_KEYS.get(config_class, {})
+    retired: Dict[str, Container] = {}
+    for klass in reversed(owner.__mro__):
+        retired.update(RETIRED_KEYS.get(klass.__name__, {}))
     kept = {}
     for key, value in data.items():
         if key not in retired:
             kept[key] = value
-        elif value is not retired[key]:
+        elif value not in retired[key]:
             name = f"{path}.{key}" if path else key
             raise ValueError(
-                f"{name!r} is retired: only {retired[key]!r}, the surviving "
-                f"behaviour, is still accepted, got {value!r}")
+                f"{name!r} is retired: only {retired[key]!r} is still "
+                f"accepted (and ignored), got {value!r}")
     return kept

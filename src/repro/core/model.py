@@ -62,20 +62,17 @@ class DEKGILP(Module):
         )
         self._context_graph: Optional[KnowledgeGraph] = None
         self._tables: Optional[RelationComponentStore] = None
-        #: Policy-driven store of relation-agnostic extractions, keyed by
-        #: (head, tail) per CSR snapshot and shared across the three
-        #: prediction forms during ranking.  Snapshot keying means in-place
-        #: graph mutation and context switches can never serve a stale
-        #: extraction; `subgraph_cache_snapshots > 1` keeps stores of
-        #: previously-seen contexts warm (cross-split persistence).
+        #: Pinned-LRU store of relation-agnostic extractions, keyed by
+        #: (head, tail) and shared across the three prediction forms during
+        #: ranking.  The store is dropped whenever the CSR snapshot changes,
+        #: so in-place graph mutation and context switches can never serve
+        #: a stale extraction.
         self.subgraph_provider: Optional[SubgraphProvider] = (
             SubgraphProvider(
                 hops=self.config.subgraph_hops,
                 improved_labeling=self.config.improved_labeling,
                 max_nodes=self.config.max_subgraph_nodes,
-                policy=self.config.subgraph_cache_policy,
                 cache_size=self.config.subgraph_cache_size,
-                snapshots=self.config.subgraph_cache_snapshots,
             )
             if self.config.use_topological
             else None
@@ -251,17 +248,16 @@ class DEKGILP(Module):
         if self.gsm is not None:
             self.gsm.set_dropout_epoch(epoch)
 
-    def subgraph_cache_stats(self) -> Dict[str, object]:
+    def subgraph_cache_stats(self) -> Dict[str, float]:
         """Extraction-cache counters at both scopes, plus the derived rates.
 
         The historical ``hits`` / ``misses`` / ``hit_rate`` keys are the
         **lifetime** counters: they span the model's life regardless of how
-        often the context switches, so cross-split reuse stays visible.  The
-        ``context_*`` keys rewind whenever the active graph snapshot changes
-        (``set_context`` to a new graph, in-place mutation), giving the
-        per-context picture alongside.  Rates are ``nan`` until the first
-        lookup in their scope; :meth:`reset_subgraph_cache_stats` rewinds
-        everything.
+        often the context switches.  The ``context_*`` keys rewind whenever
+        the active graph snapshot changes (``set_context`` to a new graph,
+        in-place mutation), giving the per-context picture alongside.  Rates
+        are ``nan`` until the first lookup in their scope;
+        :meth:`reset_subgraph_cache_stats` rewinds everything.
         """
         if self.subgraph_provider is None:
             nan = float("nan")
@@ -269,8 +265,7 @@ class DEKGILP(Module):
                     "lifetime_hits": 0.0, "lifetime_misses": 0.0,
                     "lifetime_hit_rate": nan, "context_hits": 0.0,
                     "context_misses": 0.0, "context_hit_rate": nan,
-                    "context_switches": 0.0, "entries": 0.0, "capacity": 0.0,
-                    "policy": "none", "stores": 0.0}
+                    "context_switches": 0.0, "entries": 0.0, "capacity": 0.0}
         return self.subgraph_provider.stats()
 
     def reset_subgraph_cache_stats(self) -> None:

@@ -51,6 +51,7 @@ from typing import Any, Dict, Optional, Protocol, Tuple, Union, runtime_checkabl
 import numpy as np
 
 from repro.backend import active_backend
+from repro.core.config import drop_retired_keys
 from repro.resilience import atomic_write_bytes, mangle
 
 PathLike = Union[str, Path]
@@ -106,7 +107,9 @@ class CheckpointableModule:
     Subclasses record their constructor kwargs in ``self._checkpoint_init``
     (JSON-serializable values only) during ``__init__``; the parameter arrays
     come from ``state_dict``.  Non-parameter state rides along through the
-    ``_checkpoint_extra`` / ``_restore_checkpoint_extra`` hooks.
+    ``_checkpoint_extra`` / ``_restore_checkpoint_extra`` hooks.  Retired
+    constructor keywords in older checkpoints go through
+    :func:`repro.core.config.drop_retired_keys`.
     """
 
     _checkpoint_init: Dict[str, Any]
@@ -126,7 +129,7 @@ class CheckpointableModule:
     @classmethod
     def from_checkpoint(cls, header: Dict[str, Any],
                         arrays: Dict[str, np.ndarray]):
-        model = cls(**header.get("init", {}))
+        model = cls(**drop_retired_keys(cls, header.get("init", {}), "init"))
         model.load_state_dict(dict(arrays))
         model._restore_checkpoint_extra(header.get("extra", {}))
         model.eval()

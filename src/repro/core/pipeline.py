@@ -168,7 +168,7 @@ class LinkPredictionPipeline:
         candidate_ids = ([self._entity_id(c) for c in candidates]
                          if candidates is not None else self._candidate_entities())
         triples = [Triple(head, relation_id, tail_id) for head in candidate_ids if head != tail_id]
-        return self._rank(triples, k)
+        return self._rank(triples, k, ranked="head")
 
     def predict_relation(self, head: EntityRef, tail: EntityRef, k: int = 5) -> List[Prediction]:
         """Rank relations for ``(head, ?, tail)`` and return the top ``k``."""
@@ -176,9 +176,12 @@ class LinkPredictionPipeline:
         tail_id = self._entity_id(tail)
         triples = [Triple(head_id, relation, tail_id)
                    for relation in range(self.original.num_relations)]
-        return self._rank(triples, k, name_relations=True)
+        return self._rank(triples, k, ranked="relation")
 
-    def _rank(self, triples: List[Triple], k: int, name_relations: bool = False) -> List[Prediction]:
+    def _rank(self, triples: List[Triple], k: int, ranked: str = "tail") -> List[Prediction]:
+        """Top ``k`` of ``triples`` by score.  ``entity_name`` names the
+        ranked head for ``ranked="head"``, else the tail; ``relation_name``
+        is filled for ``ranked="relation"``."""
         if not triples:
             return []
         scores = self.model.score_many(triples)
@@ -187,13 +190,13 @@ class LinkPredictionPipeline:
         for index in order:
             triple = triples[int(index)]
             relation_name = None
-            if name_relations and self._vocabulary is not None:
+            if ranked == "relation" and self._vocabulary is not None:
                 relation_name = self._vocabulary.relation_name(triple.relation)
-            target_entity = triple.tail if not name_relations else triple.tail
             predictions.append(Prediction(
                 triple=triple,
                 score=float(scores[int(index)]),
-                entity_name=self._entity_name(target_entity),
+                entity_name=self._entity_name(
+                    triple.head if ranked == "head" else triple.tail),
                 relation_name=relation_name,
             ))
         return predictions

@@ -135,8 +135,8 @@ class ShardWorkload:
         Models backed by a :class:`repro.subgraph.provider.SubgraphProvider`
         get their shard's true ``(head, tail)`` pairs pinned up front: every
         work item re-scores its true triple against a fresh churn of
-        corrupted candidates, so under a corruption-aware cache policy the
-        recurring true-pair extractions stay resident for the whole shard.
+        corrupted candidates, so pinning keeps the recurring true-pair
+        extractions resident for the whole shard.
         """
         provider = getattr(model, "subgraph_provider", None)
         if provider is not None and stop > start:

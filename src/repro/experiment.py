@@ -109,6 +109,20 @@ def _section_from_dict(section_cls, data: Mapping[str, Any], path: str):
     return section_cls(**data)
 
 
+def _without_retired_overrides(model: ModelSection) -> ModelSection:
+    """``model`` with retired keys of the model's config class (or
+    constructor) dropped from its overrides (see
+    :data:`repro.core.config.RETIRED_KEYS`)."""
+    if not isinstance(model.overrides, Mapping):
+        raise ValueError("'model.overrides' must be a mapping")
+    spec = get_spec(model.name)
+    owner = spec.config_class or spec.model_class
+    if owner is None:
+        return model
+    return dataclasses.replace(model, overrides=drop_retired_keys(
+        owner, model.overrides, "model.overrides"))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A complete, serializable description of one training + evaluation run."""
@@ -163,6 +177,7 @@ class ExperimentConfig:
             if not isinstance(section_data, Mapping):
                 raise ValueError(f"section {name!r} must be a mapping")
             sections[name] = _section_from_dict(section_cls, section_data, name)
+        sections["model"] = _without_retired_overrides(sections["model"])
         config = cls(artifacts_dir=data.get("artifacts_dir"),
                      backend=data.get("backend"), **sections)
         config.validate()

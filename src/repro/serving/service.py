@@ -315,7 +315,6 @@ class ScoringService:
                 "hit_rate": None if stats["lifetime_hit_rate"] != stats["lifetime_hit_rate"]
                 else stats["lifetime_hit_rate"],
                 "entries": stats["entries"],
-                "policy": stats["policy"],
             })
         return {
             "models": self.model_names,

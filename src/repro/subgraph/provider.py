@@ -1,4 +1,4 @@
-"""Batched multi-source subgraph extraction behind pluggable cache policies.
+"""Batched multi-source subgraph extraction behind one pinned-LRU cache.
 
 This module is the single extraction path for every consumer of enclosing
 subgraphs (the DEKG-ILP model, the Grail/TACT baselines, evaluation-shard
@@ -20,13 +20,11 @@ workers).  It contributes two things on top of
   to the original set/dict assembly (:func:`_assemble_pair_labels`), whose
   insertion order the cap's stable degree sort ties break on.
 
-* :class:`SubgraphProvider` — extraction caching behind pluggable
-  **cache policies** (plain LRU, an adaptively-sized LRU that grows when
-  evicted entries are re-requested, and a corruption-aware policy that pins
-  true-pair extractions so uniformly-drawn corruptions cannot evict them),
-  with per-snapshot stores so extractions can optionally persist across
-  context switches (``snapshots > 1``), e.g. train -> eval -> train, or
-  several models evaluated on the same graph through a shared provider.
+* :class:`SubgraphProvider` — extraction caching in one :class:`PinnedLRU`
+  store for the current CSR snapshot: a bounded LRU plus a pinned set of
+  true-pair extractions that uniformly-drawn corruptions cannot evict.
+  Several models evaluated on the same graph can serve from one provider
+  (:func:`share_provider`).
 
 Cached extractions are relation-agnostic (``omit_target_edge=False``):
 consumers mask the scored link's edge per candidate, exactly like the
@@ -491,98 +489,26 @@ def masked_edges(graph: KnowledgeGraph, subgraph: ExtractedSubgraph,
 
 
 # --------------------------------------------------------------------- #
-# cache policies
+# the extraction store
 # --------------------------------------------------------------------- #
-class LRUPolicy:
-    """Bounded least-recently-used store (the pre-provider behavior)."""
+class PinnedLRU:
+    """Bounded least-recently-used store plus a pinned set eviction never touches.
 
-    name = "lru"
+    Training draws corrupted pairs uniformly, so a plain LRU keeps churning
+    true-pair extractions out (the ~0.55 warm hit-rate ceiling); pinning the
+    true pairs — every training positive, every evaluation target — keeps
+    their extractions resident across corruptions and epochs while the
+    uniformly-drawn corruptions fight over the LRU portion.  At most
+    ``capacity`` keys are ever pinned (first come, first pinned; overflow
+    pairs stay ordinary LRU citizens), so total residency is bounded by
+    twice the capacity.  With nothing pinned this is exactly a plain LRU.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[PairKey, ExtractedSubgraph]" = OrderedDict()
-
-    def get(self, key: PairKey) -> Optional[ExtractedSubgraph]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: PairKey, value: ExtractedSubgraph) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._evict()
-
-    def _evict(self) -> None:
-        self._entries.popitem(last=False)
-
-    def pin(self, keys: Iterable[PairKey]) -> None:
-        """Pin hint; plain LRU ignores it (corruption-aware honours it)."""
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class AdaptiveLRUPolicy(LRUPolicy):
-    """LRU that grows its capacity when evicted entries are re-requested.
-
-    Evicted keys go to a bounded ghost list (keys only, no payload).  A miss
-    that hits the ghost list means the working set outgrew the cache —
-    capacity doubles (up to ``max_capacity``, default 16x the initial size)
-    before the entry is re-extracted, so a mis-sized initial capacity
-    converges onto the workload instead of thrashing forever.
-    """
-
-    name = "adaptive"
-    GROWTH_FACTOR = 2
-
-    def __init__(self, capacity: int, max_capacity: Optional[int] = None):
-        super().__init__(capacity)
-        self.initial_capacity = self.capacity
-        self.max_capacity = int(max_capacity) if max_capacity else self.capacity * 16
-        self._ghosts: "OrderedDict[PairKey, None]" = OrderedDict()
-
-    def get(self, key: PairKey) -> Optional[ExtractedSubgraph]:
-        entry = super().get(key)
-        if entry is None and key in self._ghosts:
-            del self._ghosts[key]
-            self.capacity = min(self.capacity * self.GROWTH_FACTOR,
-                                self.max_capacity)
-        return entry
-
-    def _evict(self) -> None:
-        key, _ = self._entries.popitem(last=False)
-        self._ghosts[key] = None
-        while len(self._ghosts) > self.capacity:
-            self._ghosts.popitem(last=False)
-
-
-class CorruptionAwarePolicy(LRUPolicy):
-    """LRU plus a pinned set that eviction can never touch.
-
-    Training draws corrupted pairs uniformly, so an unpinned LRU keeps
-    churning true-pair extractions out (the ~0.55 warm hit-rate ceiling);
-    pinning the true pairs — every training positive, every evaluation
-    target — keeps their extractions resident across corruptions and epochs
-    while the uniformly-drawn corruptions fight over the LRU portion.  The
-    pin budget is capped at ``max_pinned`` (default: ``capacity``), so the
-    policy's total residency stays bounded like a plain LRU of twice the
-    size.
-    """
-
-    name = "corruption_aware"
-
-    def __init__(self, capacity: int, max_pinned: Optional[int] = None):
-        super().__init__(capacity)
-        #: Pin budget: at most this many keys are ever accepted (first come,
-        #: first pinned), so total residency is bounded by
-        #: ``capacity + max_pinned`` (default 2x capacity) no matter how many
-        #: true pairs a caller offers — overflow pairs just stay ordinary
-        #: LRU citizens.
-        self.max_pinned = int(max_pinned) if max_pinned is not None else self.capacity
         self._pin_keys: set = set()
         self._pinned: Dict[PairKey, ExtractedSubgraph] = {}
 
@@ -590,7 +516,7 @@ class CorruptionAwarePolicy(LRUPolicy):
         for key in keys:
             if key in self._pin_keys:
                 continue
-            if len(self._pin_keys) >= self.max_pinned:
+            if len(self._pin_keys) >= self.capacity:
                 break
             self._pin_keys.add(key)
             value = self._entries.pop(key, None)
@@ -601,41 +527,22 @@ class CorruptionAwarePolicy(LRUPolicy):
         value = self._pinned.get(key)
         if value is not None:
             return value
-        return super().get(key)
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
 
     def put(self, key: PairKey, value: ExtractedSubgraph) -> None:
         if key in self._pin_keys:
             self._pinned[key] = value
-        else:
-            super().put(key, value)
+            return
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._entries) + len(self._pinned)
-
-
-#: Registered cache policies, keyed by the name used in
-#: ``ModelConfig.subgraph_cache_policy`` and the CLI ``--cache-policy`` flag.
-CACHE_POLICIES = {
-    LRUPolicy.name: LRUPolicy,
-    AdaptiveLRUPolicy.name: AdaptiveLRUPolicy,
-    CorruptionAwarePolicy.name: CorruptionAwarePolicy,
-}
-
-
-def cache_policy_names() -> List[str]:
-    """Every registered cache-policy name."""
-    return sorted(CACHE_POLICIES)
-
-
-def make_cache_policy(name: str, capacity: int) -> LRUPolicy:
-    """Instantiate the cache policy registered under ``name``."""
-    try:
-        policy_class = CACHE_POLICIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown cache policy {name!r}; choose from {cache_policy_names()}"
-        ) from None
-    return policy_class(capacity)
 
 
 # --------------------------------------------------------------------- #
@@ -645,43 +552,29 @@ class SubgraphProvider:
     """Cached, batched, relation-agnostic subgraph extraction for one model.
 
     One provider owns the extraction hyper-parameters (``hops``,
-    ``improved_labeling``, ``max_nodes``) and a cache policy instance per
-    CSR snapshot it has served.  Misses are extracted through the
-    multi-source :func:`extract_batch`, which produces the same subgraphs
-    as the per-pair extractor.
+    ``improved_labeling``, ``max_nodes``) and one :class:`PinnedLRU` store
+    of ``cache_size`` entries for the CSR snapshot it is serving.  Misses
+    are extracted through the multi-source :func:`extract_batch`, which
+    produces the same subgraphs as the per-pair extractor.
 
-    ``snapshots`` bounds how many per-snapshot stores are retained
-    (most-recently-used order).  The default ``1`` keeps only the current
-    context's store — switching the context graph discards everything, like
-    the pre-provider LRU.  ``snapshots > 1`` enables **cross-split
-    persistence**: returning to a previously-seen snapshot (train -> eval ->
-    train, or several models sharing one provider on the same evaluation
-    graph) finds its extractions still warm.  Entries are always keyed by
-    snapshot identity, so persistence can never serve a stale extraction.
+    The store belongs to one snapshot: when the graph's CSR snapshot
+    identity changes (a new context graph, in-place mutation) the store is
+    dropped and a fresh one started, so a stale extraction is never served.
 
     Hit/miss counters are kept at two scopes: ``lifetime_*`` (never reset
     implicitly) and ``context_*`` (reset whenever the active snapshot
-    changes), so cross-split reuse stays visible without losing the
-    per-context picture.
+    changes), so the per-context picture sits next to the whole run's.
     """
 
     def __init__(self, hops: int = 2, improved_labeling: bool = True,
-                 max_nodes: int = 200, policy: str = "lru",
-                 cache_size: int = 4096, snapshots: int = 1):
-        if policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache policy {policy!r}; choose from {cache_policy_names()}")
+                 max_nodes: int = 200, cache_size: int = 4096):
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if snapshots < 1:
-            raise ValueError("snapshots must be >= 1")
         self.hops = hops
         self.improved_labeling = improved_labeling
         self.max_nodes = max_nodes
-        self.policy_name = policy
         self.cache_size = cache_size
-        self.snapshots = snapshots
-        self._stores: List[Tuple[CSRAdjacency, LRUPolicy]] = []
+        self._store: Optional[PinnedLRU] = None
         self._active: Optional[CSRAdjacency] = None
         self.lifetime_hits = 0
         self.lifetime_misses = 0
@@ -695,22 +588,15 @@ class SubgraphProvider:
         """What a cached extraction depends on besides the graph snapshot."""
         return (self.hops, self.improved_labeling, self.max_nodes)
 
-    def _store_for(self, graph: KnowledgeGraph) -> LRUPolicy:
+    def _store_for(self, graph: KnowledgeGraph) -> PinnedLRU:
         snapshot = graph.adjacency()
         if self._active is not snapshot:
-            for position, (stored_snapshot, _) in enumerate(self._stores):
-                if stored_snapshot is snapshot:
-                    self._stores.insert(0, self._stores.pop(position))
-                    break
-            else:
-                self._stores.insert(
-                    0, (snapshot, make_cache_policy(self.policy_name, self.cache_size)))
-                del self._stores[self.snapshots:]
+            self._store = PinnedLRU(self.cache_size)
             self._active = snapshot
             self.context_hits = 0
             self.context_misses = 0
             self.context_switches += 1
-        return self._stores[0][1]
+        return self._store
 
     # ------------------------------------------------------------------ #
     def get_many(self, graph: KnowledgeGraph,
@@ -772,27 +658,25 @@ class SubgraphProvider:
                   pairs: Iterable[Tuple[int, int]]) -> None:
         """Mark true pairs whose extractions eviction must never drop.
 
-        A no-op under policies without pinning support; under the
-        corruption-aware policy the marked pairs stay resident across
-        corruptions and epochs once extracted.
+        Once extracted, the marked pairs stay resident across corruptions
+        and epochs, up to ``cache_size`` pins per snapshot.
         """
         self._store_for(graph).pin((int(head), int(tail)) for head, tail in pairs)
 
     # ------------------------------------------------------------------ #
-    def stats(self) -> Dict[str, object]:
+    def stats(self) -> Dict[str, float]:
         """Both counter scopes plus the active store's shape.
 
         ``hits`` / ``misses`` / ``hit_rate`` are the lifetime counters (the
         historical keys of ``DEKGILP.subgraph_cache_stats``); the
         ``context_*`` scope rewinds whenever the active snapshot changes, so
-        a caller can tell cross-split reuse from within-context reuse.
+        a caller sees the current context next to the whole run.
         """
 
         def _rate(hits: int, misses: int) -> float:
             lookups = hits + misses
             return hits / lookups if lookups else float("nan")
 
-        active = self._stores[0][1] if self._stores else None
         return {
             "hits": float(self.lifetime_hits),
             "misses": float(self.lifetime_misses),
@@ -804,10 +688,8 @@ class SubgraphProvider:
             "context_misses": float(self.context_misses),
             "context_hit_rate": _rate(self.context_hits, self.context_misses),
             "context_switches": float(self.context_switches),
-            "entries": float(len(active)) if active is not None else 0.0,
-            "capacity": float(active.capacity) if active is not None else float(self.cache_size),
-            "policy": self.policy_name,
-            "stores": float(len(self._stores)),
+            "entries": float(len(self._store)) if self._store is not None else 0.0,
+            "capacity": float(self.cache_size),
         }
 
     def reset_stats(self) -> None:
@@ -822,9 +704,8 @@ class SubgraphProvider:
 # --------------------------------------------------------------------- #
 # the shared-provider seam
 # --------------------------------------------------------------------- #
-def share_provider(models: Sequence[object], *, policy: Optional[str] = None,
-                   cache_size: Optional[int] = None,
-                   snapshots: Optional[int] = None) -> Optional[SubgraphProvider]:
+def share_provider(models: Sequence[object], *,
+                   cache_size: Optional[int] = None) -> Optional[SubgraphProvider]:
     """Build one provider for several provider-backed models and inject it.
 
     Extractions are relation-agnostic and keyed by ``(head, tail)`` per CSR
@@ -837,11 +718,10 @@ def share_provider(models: Sequence[object], *, policy: Optional[str] = None,
     shared entry would not be the extraction the model's own provider would
     have produced.
 
-    The shared provider inherits its configuration from the adoptees unless
-    overridden: the first adoptee's policy, the *largest*
-    ``cache_size`` / ``snapshots`` among them (a shared cache serves a
-    superset of any single model's workload).  Returns the injected provider,
-    or ``None`` when no model in ``models`` is provider-backed.
+    Unless ``cache_size`` is given, the shared provider takes the *largest*
+    ``cache_size`` among the adoptees (a shared cache serves a superset of
+    any single model's workload).  Returns the injected provider, or
+    ``None`` when no model in ``models`` is provider-backed.
 
     Counter scopes stay correct under multi-model use by construction —
     hits/misses/switches live on the provider, not the adopting models, so
@@ -866,11 +746,8 @@ def share_provider(models: Sequence[object], *, policy: Optional[str] = None,
         hops=template.hops,
         improved_labeling=template.improved_labeling,
         max_nodes=template.max_nodes,
-        policy=policy if policy is not None else template.policy_name,
         cache_size=cache_size if cache_size is not None
         else max(model.subgraph_provider.cache_size for model in backed),
-        snapshots=snapshots if snapshots is not None
-        else max(model.subgraph_provider.snapshots for model in backed),
     )
     for model in backed:
         model.use_subgraph_provider(shared)

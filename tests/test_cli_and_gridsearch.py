@@ -96,15 +96,6 @@ class TestCLIErrorPaths:
         with pytest.raises((SystemExit, OSError)):
             main(["run", "--config", str(tmp_path / "missing.json")])
 
-    def test_cache_policy_rejected_on_cacheless_embedding_baseline(self):
-        # ComplEx scores triples directly from embeddings; it owns no
-        # subgraph-extraction cache, so the flag must fail fast rather than
-        # be silently ignored.
-        with pytest.raises(SystemExit, match="no subgraph-extraction cache"):
-            main(["evaluate", "--model", "ComplEx", "--scale", "0.25",
-                  "--epochs", "1", "--embedding-dim", "8",
-                  "--cache-policy", "lru"])
-
     def test_cache_size_rejected_on_cacheless_baseline(self):
         with pytest.raises(SystemExit, match="--cache-size does not apply"):
             main(["evaluate", "--model", "HolE", "--scale", "0.25",

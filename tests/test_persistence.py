@@ -30,6 +30,20 @@ def trained_model(tiny_graph):
     return model
 
 
+#: Retired ``ModelConfig`` keys: (key, value, still loads).  A value the
+#: surviving code path honours loads bit-exact; anything else raises.
+RETIRED_CONFIG_CASES = [
+    ("batched_extraction", True, True),
+    ("batched_extraction", False, False),
+    ("subgraph_cache_policy", "lru", True),
+    ("subgraph_cache_policy", "adaptive", True),
+    ("subgraph_cache_policy", "corruption_aware", True),
+    ("subgraph_cache_snapshots", 2, True),
+    ("subgraph_cache_policy", "clairvoyant", False),
+    ("subgraph_cache_snapshots", 0, False),
+]
+
+
 def _assert_same_scores(model, restored, graph):
     model.eval()
     model.set_context(graph)
@@ -125,14 +139,16 @@ class TestLegacyFormatV1:
 
     def test_v1_checkpoint_with_retired_extraction_key(self, trained_model,
                                                        tiny_graph, tmp_path):
-        """The retired ``batched_extraction`` key loads when true, else raises."""
-        path = self._write_v1(trained_model, tmp_path / "legacy.npz",
-                              batched_extraction=True)
-        _assert_same_scores(trained_model, load_model(path), tiny_graph)
-        path = self._write_v1(trained_model, tmp_path / "legacy_off.npz",
-                              batched_extraction=False)
-        with pytest.raises(ValueError, match="batched_extraction"):
-            load_model(path)
+        """Retired extraction and extraction-cache keys load with every
+        value the surviving path honours, else raise naming the key."""
+        for key, value, loads in RETIRED_CONFIG_CASES:
+            path = self._write_v1(trained_model, tmp_path / "legacy.npz",
+                                  **{key: value})
+            if loads:
+                _assert_same_scores(trained_model, load_model(path), tiny_graph)
+            else:
+                with pytest.raises(ValueError, match=key):
+                    load_model(path)
 
 
 class TestSeedPersistence:
@@ -306,22 +322,49 @@ class TestCorruptionMatrix:
                                                  trained_model, tiny_graph,
                                                  tmp_path):
         """Checkpoints written while ``ModelConfig`` still had the
-        ``batched_extraction`` knob: ``true`` loads bit-exact, ``false`` raises."""
+        ``batched_extraction`` or extraction-cache knobs: every value the
+        surviving path honours loads bit-exact, anything else raises."""
         path = save_model(trained_model, tmp_path / "model.npz")
         header, arrays = read_archive(path)
         header = {key: value for key, value in header.items()
                   if key != "checksums"}
         header["format_version"] = format_version
         pack = _pack_raw if format_version == 2 else pack_archive
-        for value in (True, False):
-            header["model"]["init"]["config"]["batched_extraction"] = value
-            archive = tmp_path / f"retired_{value}.npz"
+        config = header["model"]["init"]["config"]
+        archive = tmp_path / "retired.npz"
+        for key, value, loads in RETIRED_CONFIG_CASES:
+            config[key] = value
             archive.write_bytes(pack(header, arrays))
-            if value:
+            if loads:
                 _assert_same_scores(trained_model, load_model(archive), tiny_graph)
             else:
-                with pytest.raises(ValueError, match="batched_extraction"):
+                with pytest.raises(ValueError, match=key):
                     load_model(archive)
+            del config[key]
+
+    @pytest.mark.parametrize("name", ["Grail", "TACT"])
+    @pytest.mark.parametrize("value,loads", [("lru", True), ("adaptive", True),
+                                             ("corruption_aware", True),
+                                             ("clairvoyant", False)])
+    def test_subgraph_baseline_with_retired_cache_policy(self, name, value,
+                                                         loads, tiny_graph,
+                                                         tmp_path):
+        """Grail/TACT checkpoints recorded ``cache_policy`` as a constructor
+        keyword; every legal value restores bit-exact, anything else raises."""
+        from repro.registry import build_model
+
+        model = build_model(name, num_entities=tiny_graph.num_entities,
+                            num_relations=tiny_graph.num_relations,
+                            embedding_dim=4, seed=0)
+        header, arrays = read_archive(save_model(model, tmp_path / "model.npz"))
+        header["model"]["init"]["cache_policy"] = value
+        archive = tmp_path / "retired.npz"
+        archive.write_bytes(pack_archive(header, arrays))
+        if loads:
+            _assert_same_scores(model, load_model(archive), tiny_graph)
+        else:
+            with pytest.raises(ValueError, match="'init.cache_policy'"):
+                load_model(archive)
 
     def test_bit_flipped_model_checkpoint_rejected_by_load(self, trained_model,
                                                            tmp_path):

@@ -48,6 +48,16 @@ class TestLinkPredictionPipeline:
         predictions = pipeline.predict_head(0, 2, k=2)
         assert all(p.triple.tail == 2 and p.triple.relation == 0 for p in predictions)
 
+    def test_predictions_name_the_ranked_entity(self, tiny_graph):
+        """Regression: head predictions were named after the fixed tail."""
+        pipeline = _small_pipeline(tiny_graph)
+        pipeline.fit()
+        heads = pipeline.predict_head(0, 2, k=3)
+        assert len(heads) == 3
+        assert [p.entity_name for p in heads] == [f"e{p.triple.head}" for p in heads]
+        tails = pipeline.predict_tail(0, 0, k=3)
+        assert [p.entity_name for p in tails] == [f"e{p.triple.tail}" for p in tails]
+
     def test_predict_relation_covers_all_relations(self, tiny_graph):
         pipeline = _small_pipeline(tiny_graph)
         pipeline.fit()

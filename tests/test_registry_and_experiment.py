@@ -111,8 +111,47 @@ class TestExperimentConfig:
 
     def test_retired_training_key_rejected_when_false(self):
         saved = ExperimentConfig.default("DEKG-ILP").to_dict()
-        saved["training"]["batched"] = False
-        with pytest.raises(ValueError, match="'training.batched'"):
+        for value in (False, 1):  # matched type-strictly: 1 is not True
+            saved["training"]["batched"] = value
+            with pytest.raises(ValueError, match="'training.batched'"):
+                ExperimentConfig.from_dict(saved)
+
+    @pytest.mark.parametrize("model,key,value", [
+        ("DEKG-ILP", "subgraph_cache_policy", "lru"),
+        ("DEKG-ILP", "subgraph_cache_policy", "adaptive"),
+        ("DEKG-ILP", "subgraph_cache_policy", "corruption_aware"),
+        ("DEKG-ILP", "subgraph_cache_snapshots", 2),
+        ("DEKG-ILP-N", "subgraph_cache_snapshots", 1),
+        ("Grail", "cache_policy", "lru"),
+        ("Grail", "cache_policy", "adaptive"),
+        ("Grail", "cache_policy", "corruption_aware"),
+        ("TACT", "cache_policy", "lru"),
+    ])
+    def test_retired_cache_override_dropped(self, model, key, value):
+        """A saved config whose ``model.overrides`` set a retired cache knob
+        (e.g. written by ``repro evaluate --cache-policy lru``) loads as the
+        config without it: no cache setting ever changed a score."""
+        config = ExperimentConfig.default(model)
+        saved = config.to_dict()
+        saved["model"]["overrides"][key] = value
+        assert ExperimentConfig.from_json(json.dumps(saved)) == config
+
+    def test_non_mapping_overrides_rejected(self):
+        saved = ExperimentConfig.default("DEKG-ILP").to_dict()
+        saved["model"]["overrides"] = 5
+        with pytest.raises(ValueError, match="'model.overrides' must be a mapping"):
+            ExperimentConfig.from_dict(saved)
+
+    @pytest.mark.parametrize("model,key,value", [
+        ("DEKG-ILP", "subgraph_cache_policy", "clairvoyant"),
+        ("DEKG-ILP", "subgraph_cache_snapshots", 0),
+        ("DEKG-ILP", "subgraph_cache_snapshots", True),
+        ("Grail", "cache_policy", "clairvoyant"),
+    ])
+    def test_retired_cache_override_rejected(self, model, key, value):
+        saved = ExperimentConfig.default(model).to_dict()
+        saved["model"]["overrides"][key] = value
+        with pytest.raises(ValueError, match=f"'model.overrides.{key}'"):
             ExperimentConfig.from_dict(saved)
 
     def test_unknown_model_override_named(self):
