@@ -259,9 +259,12 @@ class Evaluator:
         ``model`` must provide ``set_context(graph)`` and ``score_many(triples)``.
         With ``workers > 1`` the (triple, form) work list is split into
         contiguous shards ranked by spawned worker processes, each holding its
-        own replica of ``model`` (rebuilt from a checkpoint byte round-trip
-        for DEKG-ILP, a pickle otherwise); metrics are bit-identical to the
-        in-process path for any worker count.  Shard execution is supervised
+        own replica of ``model`` (attached from shared pages, or rebuilt from
+        checkpoint bytes or a pickle); metrics are bit-identical to the
+        in-process path for any worker count.  The workers are spawned once,
+        by the first sharded call, and stay warm for later calls with the same
+        worker count and environment; any supervision event retires them, so
+        the next call starts on fresh workers.  Shard execution is supervised
         (per-shard ``shard_timeout``, ``shard_attempts`` retries with backoff,
         dead-worker reassignment, in-process degradation — see
         :mod:`repro.eval.sharding`), so a killed or hung worker delays the run

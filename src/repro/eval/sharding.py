@@ -31,19 +31,19 @@ Three properties make the fan-out deterministic and spawn-safe:
   remains: Checkpointable models round-trip through the npz checkpoint
   format, anything else pickles.  Both paths restore bit-identical
   replicas, so they are freely interchangeable.  Workers rebuild the
-  replica lazily on their first shard and re-bind the context graph with
-  ``set_context``.  Subgraph-provider state never travels either: a
-  replica's constructor builds a fresh, empty
+  replica lazily on their first shard of each call and re-bind the context
+  graph with ``set_context``.  Subgraph-provider state never travels
+  either: a replica's constructor builds a fresh, empty
   :class:`repro.subgraph.provider.SubgraphProvider` from the checkpointed
-  config (policy, capacity, batched extraction), so each worker's cache
+  config (its cache capacity), so each worker's cache
   warms on its own shards — per-model caches shard cleanly because caches
   only change wall clock, never scores.
 
 Shared-page lifecycle is owned by the :class:`SupervisedPool`: pages are
-created before fan-out and released (unlinked) after the entire run —
-clean completion, Ctrl-C, dead-worker retries, and the in-process fallback
-sweep alike — so no named segment ever outlives an evaluation.  The
-``shm_attach`` fault site (:data:`repro.shm.ATTACH_FAULT_SITE`) fires in
+created per call, before fan-out, and released (unlinked) after the entire
+run — clean completion, Ctrl-C, dead-worker retries, and the in-process
+fallback sweep alike — so no named segment ever outlives an evaluation.
+The ``shm_attach`` fault site (:data:`repro.shm.ATTACH_FAULT_SITE`) fires in
 workers right before they attach, so chaos plans can drill exactly these
 teardown paths.
 
@@ -58,13 +58,23 @@ failure-free run; the ordered reduce is untouched.  ``KeyboardInterrupt``
 terminates the pool (no leaked spawn workers) and reports partial progress
 before re-raising.
 
-The ``spawn`` start method is used unconditionally: it is the only method
-available everywhere, and it guarantees workers import a fresh interpreter
-instead of inheriting arbitrary parent state via fork.
+**Warm workers, per-call state in the tasks.**  The pool is the
+supervisor's warm ``spawn`` pool, reused across calls (see
+:mod:`repro.resilience.supervisor`): spawning and importing the workers is
+paid once, not per call.  So nothing call-specific rides on the pool
+initializer: every shard task carries the call's id, the pickled
+``(spec, workload, graph_ref)`` state and its bounds.  A worker keeps the
+state of one call only — on the first shard of a new call it drops the
+previous replica and its page mappings, then builds the new one — and
+unpickles the state once per call, not per shard.  ``spawn`` is kept
+because it is the only start method available everywhere and workers
+import a fresh interpreter instead of inheriting arbitrary parent state
+via fork.
 """
 
 from __future__ import annotations
 
+import itertools
 import pickle
 import warnings
 from dataclasses import dataclass
@@ -86,6 +96,10 @@ SHARDS_PER_WORKER = 4
 #: Fault-injection site fired at the start of every shard attempt
 #: (worker-side); see :mod:`repro.resilience.faults`.
 FAULT_SITE = "shard"
+
+#: Ids of this process's sharded calls; a worker rebuilds its replica when
+#: a shard names a call other than the one it last ranked for.
+_CALLS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -225,46 +239,39 @@ def contiguous_shards(num_items: int, num_shards: int) -> List[Tuple[int, int]]:
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
-#: (spec, workload, graph_ref) stashed by the pool initializer, and the
-#: (model, workload) pair built from it lazily on the worker's first shard.
-#: One per worker process, never shared.  A respawned worker (after a crash)
-#: reruns the initializer, so replicas self-heal.  Replica construction is
-#: *lazy* — in the first task, not the initializer — so an attach failure
+#: ``(call, model, workload)`` of the call this worker last ranked for.  One
+#: per worker process, never shared.  Replica construction is *lazy* — in
+#: the first shard of each call, not an initializer — so an attach failure
 #: (the ``shm_attach`` fault site, a vanished segment) surfaces as a task
-#: error that flows through the supervisor's retry/fallback machinery,
-#: instead of crash-looping the pool's worker respawn.
-_WORKER_ARGS = None
+#: error that flows through the supervisor's retry/fallback machinery.
 _WORKER_STATE = None
 
 
-def _init_worker(spec: ReplicaSpec,
-                 workload: ShardWorkload,
-                 graph_ref: Union[KnowledgeGraph, GraphPageSpec]) -> None:
-    global _WORKER_ARGS, _WORKER_STATE
-    _WORKER_ARGS = (spec, workload, graph_ref)
-    _WORKER_STATE = None
-
-
-def _ensure_worker_state(index: int, attempt: int):
-    """Build (model, workload) on first use; attach to shared pages if named."""
+def _worker_state(call: int, state: bytes, index: int, attempt: int):
+    """``(model, workload)`` of ``call``; built on its first shard here."""
     global _WORKER_STATE
-    if _WORKER_STATE is None:
-        spec, workload, graph_ref = _WORKER_ARGS
+    if _WORKER_STATE is None or _WORKER_STATE[0] != call:
+        # Drop the previous call's replica (and with it its page
+        # mappings) before building the next one.
+        _WORKER_STATE = None
+        spec, workload, graph_ref = pickle.loads(state)
         if spec.kind == "shm-params" or isinstance(graph_ref, GraphPageSpec):
             fire(ATTACH_FAULT_SITE, index, attempt)
         model = restore_model(spec)
         if isinstance(graph_ref, GraphPageSpec):
             graph_ref = graph_from_shm(graph_ref)
         model.set_context(graph_ref)
-        _WORKER_STATE = (model, workload)
-    return _WORKER_STATE
+        _WORKER_STATE = (call, model, workload)
+    return _WORKER_STATE[1], _WORKER_STATE[2]
 
 
-def _run_shard(index: int, bounds: Tuple[int, int], attempt: int) -> EvaluationResult:
+def _run_shard(index: int, task: Tuple[int, bytes, Tuple[int, int]],
+               attempt: int) -> EvaluationResult:
     """Rank one shard.  ``REPRO_FAULTS`` specs at site ``shard`` fire here."""
-    model, workload = _ensure_worker_state(index, attempt)
+    call, state, (start, stop) = task
+    model, workload = _worker_state(call, state, index, attempt)
     fire(FAULT_SITE, index, attempt)
-    return workload.run(model, bounds[0], bounds[1])
+    return workload.run(model, start, stop)
 
 
 # --------------------------------------------------------------------- #
@@ -278,15 +285,17 @@ def evaluate_sharded(model, workload: ShardWorkload, context_graph: KnowledgeGra
     """Rank ``workload`` across ``workers`` processes and reduce the partials.
 
     The caller guarantees ``workers >= 2`` and a non-empty workload.  The
-    model is serialized once; each worker rebuilds its replica in the pool
-    initializer and then ranks several contiguous shards.  Dispatch runs
-    under ``policy`` (default :class:`RetryPolicy`): failed/timed-out shards
-    are retried with backoff, shards stranded by a dying pool run in-process
-    on a parent-side replica, and results land in submission order, so the
-    left-to-right merge yields rank lists identical to a sequential run even
-    when shards were recovered.  ``on_interrupt(completed, total)`` observes
-    partial progress when the run is interrupted (the pool is always torn
-    down; spawned workers never leak).
+    model is serialized once and travels, with the workload and the graph
+    reference, in every shard task; each worker rebuilds its replica on its
+    first shard of the call and then ranks several contiguous shards.
+    Dispatch runs under ``policy`` (default :class:`RetryPolicy`):
+    failed/timed-out shards are retried with backoff, shards stranded by a
+    dying pool run in-process on a parent-side replica, and results land in
+    submission order, so the left-to-right merge yields rank lists identical
+    to a sequential run even when shards were recovered.
+    ``on_interrupt(completed, total)`` observes partial progress when the
+    run is interrupted (the pool is always torn down; spawned workers never
+    leak).
     """
     workers = min(workers, workload.num_items)
 
@@ -308,14 +317,17 @@ def evaluate_sharded(model, workload: ShardWorkload, context_graph: KnowledgeGra
             graph_ref = graph_spec
     try:
         spec, params_handle = make_shm_model_spec(model)
+        if params_handle is not None:
+            resources.append(params_handle)
+        state = pickle.dumps((spec, workload, graph_ref))
     except BaseException:
         for handle in resources:
             handle.release()
         raise
-    if params_handle is not None:
-        resources.append(params_handle)
 
     bounds = contiguous_shards(workload.num_items, workers * SHARDS_PER_WORKER)
+    call = next(_CALLS)
+    tasks = [(call, state, shard_bounds) for shard_bounds in bounds]
 
     # Parent-side replica for degraded (in-process) shard execution, built
     # lazily on first use from the same spec the workers got — the caller's
@@ -323,16 +335,16 @@ def evaluate_sharded(model, workload: ShardWorkload, context_graph: KnowledgeGra
     # live context graph, so the fallback binds that, not a second mapping.
     replica_cell: List[object] = []
 
-    def run_in_process(index: int, shard_bounds: Tuple[int, int]) -> EvaluationResult:
+    def run_in_process(index: int, task) -> EvaluationResult:
+        _call, _state, (start, stop) = task
         if not replica_cell:
             replica = restore_model(spec)
             replica.set_context(context_graph)
             replica_cell.append(replica)
-        return workload.run(replica_cell[0], shard_bounds[0], shard_bounds[1])
+        return workload.run(replica_cell[0], start, stop)
 
-    supervisor = SupervisedPool(processes=workers, initializer=_init_worker,
-                                initargs=(spec, workload, graph_ref),
-                                policy=policy, resources=resources)
-    partials = supervisor.run(_run_shard, bounds, run_in_process,
+    supervisor = SupervisedPool(processes=workers, policy=policy,
+                                resources=resources)
+    partials = supervisor.run(_run_shard, tasks, run_in_process,
                               on_event=on_event, on_interrupt=on_interrupt)
     return reduce(lambda left, right: left.merge(right), partials)

@@ -10,8 +10,8 @@ an async dispatch loop that supervises every task individually:
   ``RetryPolicy.timeout`` is declared failed and retried elsewhere (the
   result of a late straggler is discarded; tasks must be deterministic, so a
   duplicate result is by construction identical);
-* **dead-worker detection** — workers announce ``(task, pid)`` on a start
-  channel, and the supervisor polls the pool's worker liveness, so a
+* **dead-worker detection** — workers announce ``(run, task, pid)`` on a
+  start channel, and the supervisor polls the pool's worker liveness, so a
   ``SIGKILL``-ed worker fails *its* task immediately instead of waiting for
   the deadline (``multiprocessing.Pool`` respawns the worker, restoring
   capacity);
@@ -31,13 +31,37 @@ an async dispatch loop that supervises every task individually:
 Results are collected into a list indexed by task order, so callers reduce
 them exactly as they would a ``pool.map`` return — recovered runs are
 bit-identical to failure-free ones as long as tasks are deterministic.
+
+**One warm pool.**  Spawning and importing workers costs far more than a
+typical run's work, so the spawn pool outlives the run: a run that ends
+with no supervision event parks its pool in one module-level slot, and the
+next run takes it back when the process count matches and ``os.environ``
+equals the environment the workers were spawned with (workers read
+``REPRO_FAULTS``, ``REPRO_BACKEND``, ``REPRO_SHM`` and ``*_NUM_THREADS``
+only at start-up, so any change forces a respawn).  A run that records any
+event, raises, or is interrupted terminates its pool exactly as a one-shot
+pool would, so every recovery path starts the next run on fresh workers.
+The pool is spawned lazily by the first run, never at import, and is
+terminated at interpreter exit (or by :func:`shutdown_warm_pool`).
+
+Workers are spawned with ``max(1, usable_cores // processes)`` threads for
+every BLAS/OpenMP thread variable (:data:`THREAD_ENV_VARS`) the parent
+leaves unset, so ``processes x threads`` never oversubscribes the cores
+this process may run on; a value the parent sets wins.  Workers also drop
+their inherited copy of the parent's resource-tracker pipe (the tracker's
+lifetime, and its post-mortem cleanup of a killed parent's shared pages,
+stays the parent's alone).  A pool worker exits once its task queue has no
+writer left, so the workers of a killed parent do not linger either.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import os
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +69,10 @@ from repro.resilience.faults import fire
 
 #: Sentinel distinguishing "no result yet" from a legitimate None result.
 _PENDING = object()
+
+#: Thread-count variables of the BLAS/OpenMP runtimes numpy may link; see
+#: :func:`worker_thread_env`.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -67,7 +95,8 @@ class RetryPolicy:
     """Upper bound on the retry delay."""
 
     poll_interval: float = 0.02
-    """Supervision loop sleep when nothing is ready."""
+    """Longest wait of an idle supervision tick; a completion ends the
+    wait at once."""
 
     def __post_init__(self):
         if self.timeout is not None and self.timeout <= 0:
@@ -106,44 +135,142 @@ class _InFlight:
 _CHANNEL = None
 
 
-def _supervised_init(channel, initializer, initargs) -> None:
-    """Pool initializer wrapper: stash the start channel, run the user's."""
+def _supervised_init(channel) -> None:
+    """Pool initializer: stash the start channel, detach from the parent.
+
+    Spawn children inherit the write end of the parent's resource-tracker
+    pipe, and the tracker exits (and cleans up) only once every holder has
+    closed it; a warm worker holding it would keep the tracker alive for as
+    long as the pool lives.  Workers never register resources (shared pages
+    attach untracked, see :func:`repro.shm.attach_page`), so they let go of
+    it.
+    """
     global _CHANNEL
     _CHANNEL = channel
-    if initializer is not None:
-        initializer(*initargs)
+    from multiprocessing import resource_tracker
+
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    fd = getattr(tracker, "_fd", None)
+    if fd is not None:
+        tracker._fd = None
+        os.close(fd)
 
 
-def _supervised_call(func, index: int, payload, attempt: int):
-    """Announce (task, pid) on the start channel, then run the task."""
+def _supervised_call(func, run: int, index: int, payload, attempt: int):
+    """Announce (run, task, attempt, pid) on the start channel, then run the task."""
     if _CHANNEL is not None:
-        _CHANNEL.put((index, attempt, os.getpid()))
+        _CHANNEL.put((run, index, attempt, os.getpid()))
     return func(index, payload, attempt)
+
+
+# --------------------------------------------------------------------- #
+# the warm pool
+# --------------------------------------------------------------------- #
+def worker_thread_env(processes: int) -> Dict[str, str]:
+    """The thread variables workers of a ``processes``-wide pool get.
+
+    Each of :data:`THREAD_ENV_VARS` that ``os.environ`` leaves unset maps to
+    ``max(1, usable_cores // processes)``, where usable cores are the ones
+    this process may run on (``sched_getaffinity``, not the machine's
+    count); variables the parent sets are left to it.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cores = os.cpu_count() or 1
+    threads = str(max(1, cores // processes))
+    return {name: threads for name in THREAD_ENV_VARS if name not in os.environ}
+
+
+@dataclass
+class _WarmPool:
+    processes: int
+    environ: Dict[str, str]          #: parent ``os.environ`` at spawn time
+    pool: Any
+    channel: Any
+
+    def terminate(self) -> None:
+        # terminate(), not close(): hung workers never drain a task queue,
+        # and a killed run must not leak spawn children.
+        self.pool.terminate()
+        self.pool.join()
+
+
+_WARM: Optional[_WarmPool] = None
+_WARM_LOCK = threading.Lock()
+_RUN_IDS = itertools.count()
+
+
+def _take_pool(processes: int) -> _WarmPool:
+    """The parked pool if it fits this run, else a freshly spawned one."""
+    global _WARM
+    environ = dict(os.environ)
+    with _WARM_LOCK:
+        warm, _WARM = _WARM, None
+    if warm is not None:
+        if warm.processes == processes and warm.environ == environ:
+            return warm
+        warm.terminate()
+    context = get_context("spawn")
+    channel = context.SimpleQueue()
+    # Spawned children copy the environment at exec time, and BLAS reads
+    # its thread count when numpy loads, before any initializer could run:
+    # so the thread variables are set around the spawn only.
+    threads = worker_thread_env(processes)
+    os.environ.update(threads)
+    try:
+        pool = context.Pool(processes=processes, initializer=_supervised_init,
+                            initargs=(channel,))
+    finally:
+        for name in threads:
+            os.environ.pop(name, None)
+    return _WarmPool(processes, environ, pool, channel)
+
+
+def _park_pool(warm: _WarmPool) -> None:
+    global _WARM
+    with _WARM_LOCK:
+        previous, _WARM = _WARM, warm
+    if previous is not None:
+        previous.terminate()
+
+
+def shutdown_warm_pool() -> None:
+    """Terminate the parked worker pool, if any (idempotent).
+
+    Runs at interpreter exit; call it earlier to end the workers before
+    something that waits for every child process to be gone.
+    """
+    global _WARM
+    with _WARM_LOCK:
+        warm, _WARM = _WARM, None
+    if warm is not None:
+        warm.terminate()
+
+
+atexit.register(shutdown_warm_pool)
 
 
 # --------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------- #
 class SupervisedPool:
-    """Run tasks across a spawn pool under a :class:`RetryPolicy`.
+    """Run tasks on the warm spawn pool under a :class:`RetryPolicy`.
 
-    ``initializer``/``initargs`` build per-worker state exactly as with a
-    plain ``multiprocessing.Pool`` (they rerun when a dead worker is
-    respawned, so replicas self-heal).  ``func(index, payload, attempt)``
-    must be a picklable module-level callable returning a deterministic
-    result for a given ``(index, payload)``.
+    ``func(index, payload, attempt)`` must be a picklable module-level
+    callable returning a deterministic result for a given
+    ``(index, payload)``.  Workers carry no per-run state of their own:
+    whatever a task needs travels in its payload (a worker may cache what
+    it built from a payload, keyed by something the payload carries), so
+    one pool serves run after run.
     """
 
     def __init__(self, processes: int,
-                 initializer: Optional[Callable] = None,
-                 initargs: Tuple = (),
                  policy: Optional[RetryPolicy] = None,
                  resources: Sequence[Any] = ()):
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = processes
-        self.initializer = initializer
-        self.initargs = initargs
         self.policy = policy or RetryPolicy()
         self.events: List[TaskEvent] = []
         #: Shared resources (objects with ``release()``, e.g. shm
@@ -174,18 +301,16 @@ class SupervisedPool:
         the pool cannot be trusted with it any longer (attempts exhausted, or
         every slot lost to hung workers).  ``on_event`` observes supervision
         events as they happen; ``on_interrupt(completed, total)`` runs after
-        pool teardown when the caller hits Ctrl-C.
+        pool teardown when the caller hits Ctrl-C.  The pool goes back to
+        the warm slot only when the run recorded no event at all.
         """
         try:
             total = len(payloads)
             results: List[Any] = [_PENDING] * total
             if total == 0:
                 return []
-            context = get_context("spawn")
-            channel = context.SimpleQueue()
-            pool = context.Pool(processes=self.processes,
-                                initializer=_supervised_init,
-                                initargs=(channel, self.initializer, self.initargs))
+            warm = _take_pool(self.processes)
+            events_before = len(self.events)
             completed = 0
 
             def record(kind: str, index: int, attempt: int, detail: str = "") -> TaskEvent:
@@ -196,14 +321,16 @@ class SupervisedPool:
                 return event
 
             try:
+                clean = False
                 try:
-                    completed = self._supervise(pool, channel, func, payloads,
-                                                results, fallback, record)
+                    completed = self._supervise(warm.pool, warm.channel, func,
+                                                payloads, results, fallback, record)
+                    clean = len(self.events) == events_before
                 finally:
-                    # terminate(), not close(): hung workers never drain a task
-                    # queue, and a killed run must not leak spawn children.
-                    pool.terminate()
-                    pool.join()
+                    if clean:
+                        _park_pool(warm)
+                    else:
+                        warm.terminate()
             except KeyboardInterrupt:
                 if on_interrupt is not None:
                     completed = sum(1 for r in results if r is not _PENDING)
@@ -226,10 +353,14 @@ class SupervisedPool:
                    fallback, record) -> int:
         """The dispatch loop; returns the number of completed tasks."""
         policy = self.policy
+        run = next(_RUN_IDS)
         total = len(payloads)
         pending: List[int] = list(range(total))      # awaiting first submission
         waiting: List[Tuple[float, int, int]] = []   # (not_before, index, attempt)
         inflight: Dict[int, _InFlight] = {}
+        #: Set by every completion, so an idle tick waits for the next one
+        #: instead of sleeping a fixed interval.
+        wake = threading.Event()
         #: Worker pids believed hung (their slot is unusable until proven
         #: alive again by a fresh task announcement).
         lost_pids: set = set()
@@ -242,6 +373,16 @@ class SupervisedPool:
 
         def live_slots() -> int:
             return self.processes - len(lost_pids) - anonymous_losses
+
+        def submit(index: int, attempt: int) -> None:
+            deadline = (time.monotonic() + policy.timeout
+                        if policy.timeout is not None else None)
+            handle = pool.apply_async(
+                _supervised_call, (func, run, index, payloads[index], attempt),
+                callback=lambda _value: wake.set(),
+                error_callback=lambda _error: wake.set())
+            inflight[index] = _InFlight(handle=handle, attempt=attempt,
+                                        deadline=deadline)
 
         def handle_failure(index: int, attempt: int, kind: str, detail: str) -> None:
             record(kind, index, attempt, detail)
@@ -259,6 +400,7 @@ class SupervisedPool:
         while completed < total:
             fire("supervisor", tick)
             tick += 1
+            wake.clear()
             progressed = False
             now = time.monotonic()
 
@@ -267,20 +409,23 @@ class SupervisedPool:
             if due:
                 waiting[:] = [entry for entry in waiting if entry[0] > now]
                 for _, index, attempt in due:
-                    self._submit(pool, inflight, func, payloads, index, attempt)
+                    submit(index, attempt)
                     progressed = True
 
             # First submissions, capped at the believed-live slot count so
             # deadlines measure running time, not queue time.
             while pending and live_slots() > 0 and len(inflight) < live_slots():
-                index = pending.pop(0)
-                self._submit(pool, inflight, func, payloads, index, 0)
+                submit(pending.pop(0), 0)
                 progressed = True
 
             # Drain start announcements: map in-flight tasks to worker pids,
-            # and un-lose any pid that proves itself alive again.
+            # and un-lose any pid that proves itself alive again.  A warm
+            # pool's channel may still hold an earlier run's announcements;
+            # they name that run and are skipped.
             while not channel.empty():
-                index, attempt, pid = channel.get()
+                announced_run, index, attempt, pid = channel.get()
+                if announced_run != run:
+                    continue
                 lost_pids.discard(pid)
                 entry = inflight.get(index)
                 if entry is not None and entry.attempt == attempt:
@@ -344,17 +489,12 @@ class SupervisedPool:
                 break
 
             if not progressed:
-                time.sleep(policy.poll_interval)
+                # A completion sets ``wake``; deadlines, backoffs and dead
+                # workers are still checked every ``poll_interval``.
+                wake.wait(policy.poll_interval)
         return sum(1 for value in results if value is not _PENDING)
 
     # ------------------------------------------------------------------ #
-    def _submit(self, pool, inflight, func, payloads, index: int, attempt: int) -> None:
-        deadline = (time.monotonic() + self.policy.timeout
-                    if self.policy.timeout is not None else None)
-        handle = pool.apply_async(_supervised_call,
-                                  (func, index, payloads[index], attempt))
-        inflight[index] = _InFlight(handle=handle, attempt=attempt, deadline=deadline)
-
     @staticmethod
     def _worker_pids(pool) -> set:
         """Current worker pids (``Pool`` internals; stable across CPython)."""

@@ -25,13 +25,18 @@ what crosses the process boundary (tiny, picklable); the arrays never do.
 
 Lifecycle is strictly **owner-unlinks**: the creating process holds the
 :class:`PageHandle` and is the only one that ever calls
-:meth:`PageHandle.release` (close + unlink); attaching processes map the
-segment without registering it with the ``resource_tracker`` (via
-``track=False`` on Python >= 3.13, the documented ``unregister`` workaround
-below), so a worker exiting — cleanly, killed, or respawned mid-retry —
-can never tear the page out from under its siblings.  The owner-side
-handle *is* tracker-registered, so even a SIGKILLed parent leaks nothing:
-the tracker unlinks the segment post-mortem.
+:meth:`PageHandle.release` (close + unlink).  The owner-side handle is
+registered with the ``resource_tracker``, so even a SIGKILLed owner leaks
+nothing: the tracker unlinks the segment post-mortem.  Attaching processes
+map the segment **without talking to the tracker at all** (see
+:func:`_attach_segment`).  On Python < 3.13 ``SharedMemory(create=False)``
+registers the name, and the usual ``unregister`` workaround is wrong for
+spawn children: they share the owner's tracker, whose cache is a set, so
+the child's ``unregister`` removed the *owner's* registration (a SIGKILLed
+owner then leaked the page) and two workers attaching at once made the
+tracker print ``KeyError`` tracebacks.  Untracked attaches keep ownership
+with the creator, so a worker exiting — cleanly, killed, or respawned
+mid-retry — can never tear the page out from under its siblings.
 
 Consumers:
 
@@ -74,14 +79,6 @@ ENV_VAR = "REPRO_SHM"
 #: :mod:`repro.resilience.faults`); indexed by the consumer's unit index so
 #: chaos plans can target one worker's attach deterministically.
 ATTACH_FAULT_SITE = "shm_attach"
-
-#: Segment names created (and still owned) by *this* process.  Used by
-#: :func:`_attach_segment` on Python < 3.13: an attach in the owner process
-#: must not ``unregister`` the name, or the owner's own resource-tracker
-#: registration vanishes with it and the eventual ``unlink`` double-
-#: unregisters (harmless but noisy tracker KeyError at exit).
-_OWNED_NAMES: set = set()
-
 
 def _corruption_error(section: str, source: str, reason: str) -> Exception:
     # Late import: persistence imports this module's page primitives, so the
@@ -215,21 +212,9 @@ class PageHandle:
         if self._shm is None:
             return
         shm, self._shm = self._shm, None
-        _OWNED_NAMES.discard(shm.name)
         try:
             shm.close()
         except BufferError:  # a live view pins the mapping; unlink anyway
-            pass
-        # Spawn children share this process's resource tracker, and their
-        # attach-time ``unregister`` (see :func:`_attach_segment`) may have
-        # removed the create-time registration; re-register so the
-        # unregister inside ``unlink()`` always finds a balanced entry
-        # instead of spraying a tracker KeyError at interpreter exit.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - best effort on odd platforms
             pass
         try:
             shm.unlink()
@@ -278,7 +263,6 @@ def create_page(arrays: Mapping[str, np.ndarray],
 
     name = f"{SEGMENT_PREFIX}{secrets.token_hex(8)}"
     shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-    _OWNED_NAMES.add(shm.name)
     try:
         for array_name, array in contiguous.items():
             entry = entries[array_name]
@@ -287,7 +271,6 @@ def create_page(arrays: Mapping[str, np.ndarray],
             view[...] = array
             del view  # drop the buffer export so close() can succeed later
     except BaseException:
-        _OWNED_NAMES.discard(shm.name)
         shm.close()
         shm.unlink()
         raise
@@ -297,33 +280,47 @@ def create_page(arrays: Mapping[str, np.ndarray],
 # --------------------------------------------------------------------- #
 # attaching side
 # --------------------------------------------------------------------- #
+class _Segment:
+    """A mapping of an existing POSIX segment that no resource tracker knows.
+
+    The attaching half of ``SharedMemory`` with ``track=False`` (Python
+    3.13+), for every Python version: ``shm_open`` + ``mmap``, with no
+    ``register`` on open and no ``unregister`` on close.
+    """
+
+    def __init__(self, name: str):
+        import _posixshmem
+        import mmap
+
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap; raises ``BufferError`` while views of :attr:`buf` live."""
+        self.buf.release()
+        self._mmap.close()
+
+
 def _attach_segment(name: str):
     """Open an existing segment without resource-tracker registration.
 
-    On Python < 3.13 attaching registers the segment with the attaching
-    process's ``resource_tracker``, which unlinks it when *that* process
-    exits — exactly wrong for a worker mapping a page it does not own (the
-    first worker to exit would tear the page away from its siblings and the
-    parent).  ``track=False`` (3.13+) or the documented ``unregister``
-    workaround keeps ownership with the creator.
+    A tracked attach would make the tracker unlink the segment when the
+    attaching process exits — exactly wrong for a worker mapping a page it
+    does not own — and the ``unregister`` workaround strips the owner's own
+    registration (see the module docstring).  Where ``_posixshmem`` is
+    missing (Windows) there is no tracker to avoid.
     """
-    from multiprocessing import shared_memory
-
     try:
-        return shared_memory.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        shm = shared_memory.SharedMemory(name=name, create=False)
-        if name not in _OWNED_NAMES:
-            # In the owner process the create-time registration must stand;
-            # unregistering here would strip it (the tracker cache is a set)
-            # and make the owner's unlink double-unregister.
-            try:
-                from multiprocessing import resource_tracker
+        return _Segment(name)
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        from multiprocessing import shared_memory
 
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - best effort on odd platforms
-                pass
-        return shm
+        return shared_memory.SharedMemory(name=name, create=False)
 
 
 class AttachedPage:

@@ -10,6 +10,10 @@ Covers the three guarantees the sharded evaluator makes:
   model B was ranked against different corruptions than model A);
 * worker-count invariance — ``workers=1`` and ``workers=4`` produce identical
   ``EvaluationResult.summary()`` down to the individual ranks.
+
+It also pins the warm pool: consecutive calls reuse the same workers, and a
+changed environment or a supervision event starts the next call on fresh
+ones.
 """
 
 from __future__ import annotations
@@ -21,12 +25,15 @@ import pytest
 
 from repro.core.config import EvalConfig, ModelConfig
 from repro.core.model import DEKGILP
+from repro.datasets.benchmark import build_benchmark
 from repro.eval.evaluator import EvaluationResult, Evaluator
 from repro.eval.metrics import RankingMetrics
 from repro.eval.ranking import candidate_rng
 from repro.eval.sharding import contiguous_shards, make_model_spec, restore_model
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+from repro.resilience import reset_fault_state, supervisor
+from repro.shm import active_segments
 
 
 def _metrics(ranks, hits_levels=(1, 5, 10)):
@@ -182,6 +189,61 @@ class TestShardedEvaluation:
         with pytest.raises(ValueError, match="eval-mode"):
             evaluator.evaluate(model, test_triples=small_benchmark.test_triples[:1],
                                workers=2)
+
+
+def _warm_pids():
+    warm = supervisor._WARM
+    return set() if warm is None else {process.pid for process in warm.pool._pool}
+
+
+class TestWarmWorkers:
+    @pytest.fixture
+    def calls(self, small_benchmark):
+        """Three different (graph, model) calls, each with its in-process summary."""
+        bridging = build_benchmark("fb15k-237", "MB", seed=1, scale=0.25)
+        cases = []
+        for dataset, seed in ((small_benchmark, 0), (bridging, 1), (small_benchmark, 2)):
+            model = DEKGILP(dataset.num_relations,
+                            config=ModelConfig(embedding_dim=8, gnn_hidden_dim=8,
+                                               edge_dropout=0.0), seed=seed)
+            model.eval()
+            evaluator = Evaluator(dataset, max_candidates=5, seed=seed,
+                                  shard_timeout=60.0)
+            triples = dataset.test_triples[:3]
+            expected = evaluator.evaluate(model, test_triples=triples).summary()
+            cases.append((evaluator, model, triples, expected))
+        return cases
+
+    def test_consecutive_calls_reuse_the_workers(self, calls):
+        pids = None
+        for evaluator, model, triples, expected in calls:
+            events = []
+            result = evaluator.evaluate(model, test_triples=triples, workers=2,
+                                        on_event=events.append)
+            assert result.summary() == expected
+            assert events == []
+            assert not active_segments()
+            pids = pids or _warm_pids()
+            assert len(pids) == 2 and _warm_pids() == pids
+
+    def test_an_armed_fault_plan_starts_fresh_workers(self, calls, monkeypatch):
+        evaluator, model, triples, expected = calls[0]
+        evaluator.evaluate(model, test_triples=triples, workers=2)
+        before = _warm_pids()
+        monkeypatch.setenv("REPRO_FAULTS", "shard:1:raise")
+        reset_fault_state()
+        events = []
+        result = evaluator.evaluate(model, test_triples=triples, workers=2,
+                                    on_event=events.append)
+        # Workers read the plan at start-up: it fires only in fresh ones.
+        assert "error" in [event.kind for event in events]
+        assert result.summary() == expected
+        assert _warm_pids() == set()
+        assert not active_segments()
+        monkeypatch.delenv("REPRO_FAULTS")
+        reset_fault_state()
+        evaluator.evaluate(model, test_triples=triples, workers=2)
+        assert _warm_pids() and not _warm_pids() & before
 
 
 class TestModelShipping:

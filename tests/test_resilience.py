@@ -15,7 +15,10 @@ import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from repro.resilience import (FaultInjected, FaultPlan, RetryPolicy,
                               atomic_write_json, atomic_write_text, fire,
                               install_fault_plan, mangle, reset_fault_state)
 from repro.resilience import atomic as atomic_module
+from repro.resilience import supervisor
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +190,25 @@ def _fallback(index, payload):
     return payload * 2
 
 
+def _openblas_threads(index, payload, attempt):
+    return os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def _warm_pids():
+    """Pids of the parked warm pool's workers (empty when none is parked)."""
+    warm = supervisor._WARM
+    return set() if warm is None else {process.pid for process in warm.pool._pool}
+
+
+def _process_gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie nobody reaped counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 _FAST = dict(backoff_base=0.01, poll_interval=0.01)
 
 
@@ -253,6 +276,125 @@ class TestSupervisedPool:
         # Detected via worker liveness, not by waiting out the 30s deadline.
         assert time.monotonic() - start < 25.0
         assert "worker-died" in [event.kind for event in pool.events]
+
+    def test_clean_runs_reuse_the_warm_workers(self):
+        first = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+        assert first.run(_double, [1, 2, 3], _fallback) == [2, 4, 6]
+        pids = _warm_pids()
+        assert len(pids) == 2
+        second = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+        assert second.run(_double, [4, 5], _fallback) == [8, 10]
+        assert _warm_pids() == pids
+
+    def test_a_run_with_an_event_retires_its_workers(self):
+        SupervisedPool(processes=2, policy=RetryPolicy(**_FAST)).run(
+            _double, [1, 2], _fallback)
+        before = _warm_pids()
+        flaky = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+        assert flaky.run(_flaky_once, [10, 20, 30], _fallback) == [20, 40, 60]
+        assert flaky.events and _warm_pids() == set()
+        SupervisedPool(processes=2, policy=RetryPolicy(**_FAST)).run(
+            _double, [1, 2], _fallback)
+        assert _warm_pids() and not _warm_pids() & before
+
+    def test_a_changed_environment_or_width_respawns(self, monkeypatch):
+        SupervisedPool(processes=2, policy=RetryPolicy(**_FAST)).run(
+            _double, [1, 2], _fallback)
+        before = _warm_pids()
+        monkeypatch.setenv("REPRO_WARM_POOL_TEST", "1")
+        SupervisedPool(processes=2, policy=RetryPolicy(**_FAST)).run(
+            _double, [1, 2], _fallback)
+        after_env = _warm_pids()
+        assert after_env and not after_env & before
+        SupervisedPool(processes=1, policy=RetryPolicy(**_FAST)).run(
+            _double, [1, 2], _fallback)
+        assert len(_warm_pids()) == 1 and not _warm_pids() & after_env
+
+    def test_concurrent_runs_leave_one_pool_and_no_stray_workers(self):
+        import multiprocessing
+        import threading
+
+        results, errors = [], []
+
+        def one_run(offset):
+            try:
+                pool = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+                results.append(pool.run(_double, [offset, offset + 1], _fallback))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=one_run, args=(10 * k,))
+                       for k in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(results) == [[0, 2], [20, 22], [40, 42]]
+        # Every pool but the parked one was terminated.
+        assert {child.pid for child in multiprocessing.active_children()} == _warm_pids()
+
+    def test_workers_get_cores_over_processes_blas_threads(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        cores = len(os.sched_getaffinity(0))
+        for processes in (1, 2):
+            pool = SupervisedPool(processes=processes, policy=RetryPolicy(**_FAST))
+            seen = pool.run(_openblas_threads, [0, 1], _fallback)
+            assert seen == [str(max(1, cores // processes))] * 2
+        # The spawn-time setting never leaks into the parent.
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_a_thread_count_the_parent_sets_wins(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        pool = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+        assert pool.run(_openblas_threads, [0, 1], _fallback) == ["3", "3"]
+
+    def test_warm_workers_do_not_keep_the_resource_tracker_alive(self):
+        # Stopping the tracker waits for every holder of its pipe to close
+        # it; a parked worker holding a copy would make that wait forever.
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from multiprocessing import resource_tracker\n"
+             "from repro.resilience import SupervisedPool\n"
+             "SupervisedPool(processes=2).run(max, [1, 2], max)\n"
+             "resource_tracker._resource_tracker._stop()\n"
+             "print('stopped', flush=True)\n"],
+            env=dict(os.environ, PYTHONPATH=str(Path(supervisor.__file__).parents[2])),
+            capture_output=True, text=True, timeout=60)
+        assert done.stdout.split() == ["stopped"]
+
+    def test_warm_workers_exit_with_a_killed_parent(self):
+        parent = subprocess.Popen(
+            [sys.executable, "-c",
+             "import time\n"
+             "from repro.resilience import SupervisedPool, supervisor\n"
+             "SupervisedPool(processes=2).run(max, [1, 2], max)\n"
+             "print(*[p.pid for p in supervisor._WARM.pool._pool], flush=True)\n"
+             "time.sleep(120)\n"],
+            env=dict(os.environ, PYTHONPATH=str(Path(supervisor.__file__).parents[2])),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not all(map(_process_gone, workers)):
+                time.sleep(0.1)
+            assert all(map(_process_gone, workers))
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in workers:
+                if not _process_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_interrupt_reports_progress_and_reraises(self):
         # An injected parent-side interrupt on the supervision loop's third

@@ -14,12 +14,18 @@ PR 10's zero-copy scale-out rests on three claims, each pinned here:
   workloads.
 * **Leak-freedom** — no named segment survives any teardown path of the
   supervised shard pool: clean exit, killed worker, retried attach fault,
-  exhausted-attempts fallback, or a parent-side interrupt.
+  exhausted-attempts fallback, or a parent-side interrupt — nor a SIGKILLed
+  owner whose page a spawn child had attached.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,7 @@ from repro.kg.graph import SharedGraphView, graph_from_shm, graph_to_shm
 from repro.kg.triple import Triple
 from repro.registry import build_model, model_names
 from repro.resilience import install_fault_plan, reset_fault_state
+import repro
 from repro.shm import (PageSpec, active_segments, attach_page, create_page,
                        shm_available, shm_enabled)
 
@@ -332,3 +339,45 @@ class TestSegmentLifecycle:
                                test_triples=small_benchmark.test_triples[:4],
                                workers=2)
         assert _segments() == []
+
+
+#: An owner that creates a page, lets one spawn child attach it and exit,
+#: prints the page's name and waits to be killed.
+_ATTACHED_OWNER = """
+import time
+from multiprocessing import get_context
+import numpy as np
+from repro.shm import attach_page, create_page
+handle = create_page({"a": np.arange(8)})
+child = get_context("spawn").Process(target=attach_page, args=(handle.spec,))
+child.start()
+child.join()
+print(handle.name, child.exitcode, flush=True)
+time.sleep(120)
+"""
+
+
+@needs_shm
+@pytest.mark.skipif(active_segments() is None, reason="/dev/shm not inspectable")
+def test_sigkilled_owner_leaks_nothing_after_a_child_attached():
+    # The owner's resource tracker unlinks the page once the owner dies,
+    # unless an attaching child stripped the owner's registration.
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _ATTACHED_OWNER],
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    name = None
+    try:
+        name, exitcode = owner.stdout.readline().split()
+        assert exitcode == "0"
+        owner.kill()
+        owner.wait()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and name in _segments():
+            time.sleep(0.1)
+        assert name not in _segments(), f"segment {name} outlived its owner"
+    finally:
+        owner.kill()
+        owner.wait()
+        if name is not None and name in _segments():
+            os.unlink(os.path.join("/dev/shm", name))
